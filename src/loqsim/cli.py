@@ -6,8 +6,8 @@
     loqsim teleport-cnot --trials N --seed S ...
     loqsim cluster-demo [--alpha A] [--beta B] [--gamma G] ...
 
-Exit codes: 0 on success, 2 on experiment-description errors, 1 on
-runtime errors.
+Exit codes: 0 on success, 2 on experiment-description errors (and on
+--trials < 1, --seed < 0 or --steps < 2), 1 on runtime errors.
 """
 
 from __future__ import annotations
@@ -29,6 +29,19 @@ from .runner import (
 )
 
 
+def _int_at_least(minimum: int):
+    """argparse type for an integer >= minimum; argparse exits 2 otherwise."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    convert.__name__ = "int"  # argparse names the type in "invalid int value"
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loqsim",
@@ -38,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
+        p.add_argument("--seed", type=_int_at_least(0), help="override the RNG seed")
         p.add_argument(
             "--format", choices=("json", "csv"), default=None, help="output format"
         )
@@ -46,18 +59,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment description file")
     p_run.add_argument("file", type=Path)
-    p_run.add_argument("--trials", type=int, default=None, help="override trial count")
+    p_run.add_argument("--trials", type=_int_at_least(1), help="override trial count")
     common(p_run)
 
     p_hom = sub.add_parser("hom", help="two-photon coincidence vs overlap")
-    p_hom.add_argument("--steps", type=int, default=11)
+    p_hom.add_argument("--steps", type=_int_at_least(2), default=11)
     common(p_hom)
 
     p_cnot = sub.add_parser("cnot-herald", help="heralded CNOT success table")
     common(p_cnot)
 
     p_tc = sub.add_parser("teleport-cnot", help="teleported-CNOT resource Monte Carlo")
-    p_tc.add_argument("--trials", type=int, default=10000)
+    p_tc.add_argument("--trials", type=_int_at_least(1), default=10000)
     common(p_tc)
 
     p_cd = sub.add_parser("cluster-demo", help="5-node linear-cluster rotation")

@@ -24,9 +24,10 @@ to the smallest-id one; patterns with branching flow declare it.  After
 a full pattern the remaining frame is applied to the residual state, so
 the returned output is branch-independent for properly adapted patterns.
 
-Simulation is dense over at most NODE_CAP qubits.  The random number
-stream is consumed once per measurement in schedule order, so a grown
-run and a monolithic run with the same seed see identical outcomes.
+`run_pattern` grows the cluster just in time: each node and bond is
+added right before the first measurement that needs it, so the dense
+state spans only the active (added, unmeasured) nodes.  A graph declares
+at most NODE_CAP nodes; the random stream is drawn once per measurement.
 """
 
 from __future__ import annotations
@@ -221,16 +222,7 @@ class ClusterState:
 
 def build_cluster(graph: ClusterGraph) -> LogicalState:
     """All declared nodes initialized and bonded; qubit order = sorted ids."""
-    if len(graph.nodes) > NODE_CAP:
-        raise ValueError(
-            f"cluster has {len(graph.nodes)} nodes, cap is {NODE_CAP}"
-        )
-    state = ClusterState.empty(graph)
-    for node in graph.nodes:
-        state = state.with_node(node)
-    for a, b in graph.edges:
-        state = state.with_bond(a, b)
-    return state.sorted_logical()
+    return initial_cluster_state(graph).sorted_logical()
 
 
 def initial_cluster_state(graph: ClusterGraph) -> ClusterState:
@@ -277,9 +269,9 @@ def measure_node(
 ) -> MeasureResult:
     """Projectively measure one node and update the byproduct frame."""
     node = instr.node
-    i = state.axis(node)
     if node in outcomes:
         raise ValueError(f"node {node} was already measured")
+    i = state.axis(node)
     for ref in instr.adapt:
         if ref not in outcomes:
             raise ValueError(
@@ -367,34 +359,43 @@ def _finish(
     return PatternResult(corrected.sorted_logical(), tuple(transcript), frame)
 
 
+GrowEvent = tuple
+
+
 def run_pattern(
     graph: ClusterGraph,
     schedule: Sequence[MeasurementInstruction],
     seed,
     force: Mapping[int, int] | None = None,
 ) -> PatternResult:
-    """Build the whole cluster, run the schedule, apply final corrections.
+    """Run the schedule on a cluster grown just in time, then correct.
 
+    Each node and bond is added right before the first measurement that
+    needs it; the rest follow in declared order after the schedule.
     `force` pins chosen nodes' outcomes (for exploring all branches);
     unforced nodes sample from the Born rule with the given seed.
     """
     if len(graph.nodes) > NODE_CAP:
         raise ValueError(f"cluster has {len(graph.nodes)} nodes, cap is {NODE_CAP}")
-    rng = rng_from_seed(seed)
-    state = initial_cluster_state(graph)
-    frame = PauliFrame()
-    outcomes: dict[int, int] = {}
-    transcript: list[tuple[int, str, int]] = []
+    events: list[GrowEvent] = []
+    added: set[int] = set()
+    bonded: set[tuple[int, int]] = set()
+
+    def add(*nodes: int) -> None:
+        events.extend(("add", v) for v in nodes if v not in added)
+        added.update(nodes)
+
     for instr in schedule:
-        forced = None if force is None else force.get(instr.node)
-        result = measure_node(state, instr, outcomes, frame, rng, forced)
-        state, frame = result.state, result.frame
-        outcomes[instr.node] = result.outcome
-        transcript.append((instr.node, _basis_label(instr, result.effective_angle), result.outcome))
-    return _finish(state, transcript, frame)
-
-
-GrowEvent = tuple
+        add(instr.node)
+        for e in graph.edges:
+            if instr.node in e and e not in bonded:
+                add(*e)
+                events.append(("bond", *e))
+                bonded.add(e)
+        events.append(("measure", instr))
+    add(*graph.nodes)
+    events += [("bond", *e) for e in graph.edges if e not in bonded]
+    return grow_while_measuring(graph, events, seed, force)
 
 
 def grow_while_measuring(
@@ -432,11 +433,7 @@ def grow_while_measuring(
             bonded.add(e)
         elif tag == "measure":
             instr: MeasurementInstruction = event[1]
-            pending = [
-                e
-                for e in graph.edges
-                if instr.node in e and e not in bonded
-            ]
+            pending = [e for e in graph.edges if instr.node in e and e not in bonded]
             if pending:
                 raise ValueError(
                     f"node {instr.node} measured before bond(s) {pending} applied"

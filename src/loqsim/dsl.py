@@ -25,12 +25,14 @@ parse -> serialize -> parse round trip reproduces the spec exactly).
     }
 
 Every parse failure is a located SpecError diagnostic (line and column),
-never a crash.  A spec runs in exactly one mode: `sweep` and `trials`
-are mutually exclusive; with neither, it is a single deterministic run.
+never a crash.  Counts and indices are integers >= 0; numbers are
+finite.  A spec runs in exactly one mode: `sweep` and `trials` are
+mutually exclusive; with neither, it is a single deterministic run.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -126,18 +128,25 @@ def _tokens(line: str) -> list[tuple[str, int]]:
     return [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(body)]
 
 
-def _as_int(tok: str, line: int, col: int, what: str) -> int:
+def _as_int(tok: str, line: int, col: int, what: str, minimum: int = 0) -> int:
+    """Integer token; every count and index in the language is >= 0."""
     try:
-        return int(tok)
+        value = int(tok)
     except ValueError:
         raise SpecError(f"{what} must be an integer, got {tok!r}", line, col) from None
+    if value < minimum:
+        raise SpecError(f"{what} must be >= {minimum}, got {value}", line, col)
+    return value
 
 
 def _as_float(tok: str, line: int, col: int, what: str) -> float:
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise SpecError(f"{what} must be a number, got {tok!r}", line, col) from None
+    if not math.isfinite(value):
+        raise SpecError(f"{what} must be finite, got {tok!r}", line, col)
+    return value
 
 
 def _need(toks, count, line, directive):
@@ -190,9 +199,7 @@ class _Parser:
     def _dir_modes(self, toks, line):
         self._no_dup(self.modes, "modes", line, toks[0][1])
         _need(toks, 1, line, "modes")
-        n = _as_int(toks[1][0], line, toks[1][1], "mode count")
-        if n < 1:
-            raise SpecError("mode count must be >= 1", line, toks[1][1])
+        n = _as_int(toks[1][0], line, toks[1][1], "mode count", minimum=1)
         self.modes = (n, line)
 
     def _dir_input(self, toks, line):
@@ -201,10 +208,7 @@ class _Parser:
             raise SpecError("'input' needs at least one occupation", line, toks[0][1])
         occ = []
         for tok, col in toks[1:]:
-            n = _as_int(tok, line, col, "occupation")
-            if n < 0:
-                raise SpecError("occupations must be >= 0", line, col)
-            occ.append(n)
+            occ.append(_as_int(tok, line, col, "occupation"))
         self.input = (tuple(occ), line)
 
     def _element(self, kind, params, line, col):
@@ -259,8 +263,6 @@ class _Parser:
             m_s, c_s = tok.split("=", 1)
             m = _as_int(m_s, line, col, "herald mode")
             c = _as_int(c_s, line, col, "herald count")
-            if c < 0:
-                raise SpecError("herald counts must be >= 0", line, col)
             if m in seen:
                 raise SpecError(f"herald mode {m} assigned twice", line, col)
             seen.add(m)
@@ -307,31 +309,20 @@ class _Parser:
             )
         start = _as_float(toks[3][0], line, toks[3][1], "sweep start")
         stop = _as_float(toks[5][0], line, toks[5][1], "sweep stop")
-        steps = _as_int(toks[7][0], line, toks[7][1], "sweep steps")
-        if steps < 2:
-            raise SpecError("sweep needs at least 2 steps", line, toks[7][1])
-        if param in ("overlap", "eta") and not (
-            0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0
-        ):
-            raise SpecError(f"{param} sweep range must lie in [0, 1]", line, toks[3][1])
-        if param.startswith("r") and param not in ("overlap", "eta") and not (
-            0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0
-        ):
-            raise SpecError("reflectivity sweep range must lie in [0, 1]", line, toks[3][1])
+        steps = _as_int(toks[7][0], line, toks[7][1], "sweep steps", minimum=2)
+        if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
+            what = "reflectivity" if param.startswith("r") else param
+            raise SpecError(f"{what} sweep range must lie in [0, 1]", line, toks[3][1])
         self.sweep = SweepSpec(param, start, stop, steps, line)
 
     def _dir_trials(self, toks, line):
         if self.trials is not None:
             raise SpecError("duplicate 'trials' directive", line, toks[0][1])
         _need(toks, 3, line, "trials")
-        n = _as_int(toks[1][0], line, toks[1][1], "trial count")
-        if n < 1:
-            raise SpecError("trial count must be >= 1", line, toks[1][1])
+        n = _as_int(toks[1][0], line, toks[1][1], "trial count", minimum=1)
         if toks[2][0] != "seed":
             raise SpecError("trials syntax is: trials N seed S", line, toks[2][1])
         s = _as_int(toks[3][0], line, toks[3][1], "seed")
-        if s < 0:
-            raise SpecError("seed must be >= 0", line, toks[3][1])
         self.trials = (n, s, line)
 
     def _dir_emit(self, toks, line):
@@ -369,9 +360,7 @@ class _Parser:
                 if node_count is not None:
                     raise SpecError("duplicate 'nodes' in cluster block", blineno, col)
                 _need(btoks, 1, blineno, "nodes")
-                n = _as_int(btoks[1][0], blineno, btoks[1][1], "node count")
-                if n < 1:
-                    raise SpecError("cluster needs at least one node", blineno, btoks[1][1])
+                n = _as_int(btoks[1][0], blineno, btoks[1][1], "node count", minimum=1)
                 node_count = (n, blineno)
             elif head == "edges":
                 for tok, tcol in btoks[1:]:
@@ -413,12 +402,11 @@ class _Parser:
                 k += 2
             elif key == "adapt":
                 k += 1
-                found = False
-                while k < len(rest) and rest[k][0].isdigit():
-                    adapt.append(int(rest[k][0]))
-                    found = True
+                start = len(adapt)
+                while k < len(rest) and rest[k][0].lstrip("-").isdecimal():
+                    adapt.append(_as_int(rest[k][0], line, rest[k][1], "adapt node"))
                     k += 1
-                if not found:
+                if len(adapt) == start:
                     raise SpecError("'adapt' needs node ids", line, kcol)
             elif key == "succ":
                 if k + 1 >= len(rest):
@@ -629,10 +617,10 @@ def serialize(spec: ExperimentSpec) -> str:
             parts = [f"  measure {m.node}"]
             if m.basis == "z":
                 parts.append("basis z")
-            else:
+            if m.basis == "xy" or m.angle_deg:
                 parts.append(f"angle {_num(m.angle_deg)}")
-                if m.adapt:
-                    parts.append("adapt " + " ".join(str(a) for a in m.adapt))
+            if m.adapt:
+                parts.append("adapt " + " ".join(str(a) for a in m.adapt))
             if m.successor is not None:
                 parts.append(f"succ {m.successor}")
             out.append(" ".join(parts))

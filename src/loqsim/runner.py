@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .cluster import ClusterGraph, MeasurementInstruction, run_pattern
+from .cluster import ClusterGraph, MeasurementInstruction, run_pattern, transcript_json
 from .detection import (
     DetectorModel,
     HeraldPattern,
@@ -201,7 +201,7 @@ def _run_single(spec: ExperimentSpec, seed: int) -> Report:
     if spec.cluster is not None:
         graph, schedule = _cluster_parts(spec)
         result = run_pattern(graph, schedule, seed)
-        rows = [[node, basis, outcome] for node, basis, outcome in result.transcript]
+        rows = transcript_json(result.transcript)
         agg = [
             ("output_state", _logical_json(result.output)),
             ("frame", json.dumps(
@@ -456,7 +456,7 @@ def cluster_demo_report(
 
     oracle = hz(0.0) @ hz(-g) @ hz(-b) @ hz(-a) @ np.array([1, 1]) / math.sqrt(2)
     oracle_state = LogicalState(oracle / np.linalg.norm(oracle))
-    rows = [[node, basis, outcome] for node, basis, outcome in result.transcript]
+    rows = transcript_json(result.transcript)
     agg = [
         ("alpha_deg", float(alpha_deg)),
         ("beta_deg", float(beta_deg)),

@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+from loqsim.cluster import PatternResult, PauliFrame, initial_cluster_state, measure_node
+from loqsim.detection import rng_from_seed
 from loqsim.fock import PhotonicState
 
 
@@ -54,6 +56,37 @@ def brute_force_apply(u: np.ndarray, state: PhotonicState) -> PhotonicState:
         norm = math.sqrt(np.prod([math.factorial(c) for c in occ]))
         final[occ] = amp * norm
     return PhotonicState(m, final)
+
+
+def monolithic_run(graph, schedule, seed):
+    """Build every node and bond first, then run the schedule on it.
+
+    The full-build run loop that `run_pattern` replaced with just-in-time
+    growth: the dense state spans all declared nodes from the start, so a
+    grown run matching it shows that growth order changes nothing.
+    """
+    rng = rng_from_seed(seed)
+    state = initial_cluster_state(graph)
+    frame = PauliFrame()
+    outcomes: dict[int, int] = {}
+    transcript = []
+    for instr in schedule:
+        result = measure_node(state, instr, outcomes, frame, rng)
+        state, frame = result.state, result.frame
+        outcomes[instr.node] = result.outcome
+        label = "z" if instr.basis == "z" else f"xy:{result.effective_angle:.12g}"
+        transcript.append((instr.node, label, result.outcome))
+    for node, (x, z) in frame.items():
+        state = state.with_pauli(node, x, z)
+    return PatternResult(state.sorted_logical(), tuple(transcript), frame)
+
+
+def assert_matches_monolithic(result, graph, schedule, seed, tol=1e-10):
+    """Same transcript, same final frame, same output as the full build."""
+    mono = monolithic_run(graph, schedule, seed)
+    assert result.transcript == mono.transcript
+    assert result.frame == mono.frame
+    assert result.output.overlap(mono.output) >= 1 - tol
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from loqsim.detection import derive_rng
 from loqsim.encoding import LogicalState
 from loqsim.teleport import cnot_matrix
 
-from conftest import random_logical_amps
+from conftest import assert_matches_monolithic, random_logical_amps
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
@@ -213,40 +213,9 @@ def test_frame_applied_twice_is_identity():
 # interleaved growth
 # ---------------------------------------------------------------------------
 
-def _lazy_events(graph: ClusterGraph, schedule):
-    """Interleaving that adds nodes/bonds only when a measurement needs them."""
-    events = []
-    added: set[int] = set()
-    bonded: set[tuple[int, int]] = set()
-
-    def ensure_node(v):
-        if v not in added:
-            events.append(("add", v))
-            added.add(v)
-
-    for instr in schedule:
-        ensure_node(instr.node)
-        for e in graph.edges:
-            if instr.node in e and e not in bonded:
-                other = e[0] if e[1] == instr.node else e[1]
-                ensure_node(other)
-                events.append(("bond", e[0], e[1]))
-                bonded.add(e)
-        events.append(("measure", instr))
-    for v in graph.nodes:
-        ensure_node(v)
-    for e in graph.edges:
-        if e not in bonded:
-            events.append(("bond", e[0], e[1]))
-    return events
-
-
 def test_grown_linear_cluster_matches_monolithic():
     graph, schedule = linear_rotation_pattern(0.4, 1.3, -0.8)
-    mono = run_pattern(graph, schedule, 99)
-    grown = grow_while_measuring(graph, _lazy_events(graph, schedule), 99)
-    assert grown.transcript == mono.transcript
-    assert grown.output.overlap(mono.output) > 1 - 1e-10
+    assert_matches_monolithic(run_pattern(graph, schedule, 99), graph, schedule, 99)
 
 
 def test_single_added_node_measured_immediately():
@@ -254,9 +223,7 @@ def test_single_added_node_measured_immediately():
     instr = MeasurementInstruction(0, 0.3, successor=1)
     events = [("add", 0), ("add", 1), ("bond", 0, 1), ("measure", instr)]
     grown = grow_while_measuring(graph, events, 4)
-    mono = run_pattern(graph, [instr], 4)
-    assert grown.transcript == mono.transcript
-    assert grown.output.overlap(mono.output) > 1 - 1e-12
+    assert_matches_monolithic(grown, graph, [instr], 4, tol=1e-12)
 
 
 def test_measure_before_bond_rejected():
@@ -299,11 +266,7 @@ def test_interleaving_equivalence_random(rng):
     for case in range(50):
         graph, schedule = _random_case(rng)
         seed = 1000 + case
-        mono = run_pattern(graph, schedule, seed)
-        grown = grow_while_measuring(graph, _lazy_events(graph, schedule), seed)
-        assert grown.transcript == mono.transcript
-        assert grown.frame == mono.frame
-        assert grown.output.overlap(mono.output) > 1 - 1e-10
+        assert_matches_monolithic(run_pattern(graph, schedule, seed), graph, schedule, seed)
 
 
 def test_transcript_json_shape():

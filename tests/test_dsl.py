@@ -1,12 +1,25 @@
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loqsim.dsl import SpecError, parse, serialize
+from loqsim.dsl import (
+    ClusterSpec,
+    ElementSpec,
+    ExperimentSpec,
+    GateSpec,
+    MeasureSpec,
+    SpecError,
+    SweepSpec,
+    parse,
+    serialize,
+)
 from loqsim.runner import format_report, run
 
 DATA = Path(__file__).parent / "data"
@@ -118,6 +131,37 @@ def test_parser_totality():
             parse(text)
         except SpecError:
             pass  # a located diagnostic is the only acceptable failure
+
+
+NEGATIVE_OR_NONFINITE = [
+    # (text, line, offending token)
+    ("modes 2\ninput 1 1\nbs -1 0 0.5\n", 3, "-1"),
+    ("modes 2\ninput 1 1\nbs 0 -1 0.5\n", 3, "-1"),
+    ("modes 2\ninput 1 1\nphase -1 90\n", 3, "-1"),
+    ("modes 2\ninput 1 1\nphase 0 nan\n", 3, "nan"),
+    ("modes 2\ninput 1 1\nphase 0 inf\n", 3, "inf"),
+    ("modes 2\ninput 1 1\nphase 0 -inf\n", 3, "-inf"),
+    ("modes 2\ninput 1 1\nhwp -1 45\n", 3, "-1"),
+    ("modes 2\ninput 1 1\nhwp 0 nan\n", 3, "nan"),
+    ("modes 2\ninput 1 1\nqwp 0 1e999\n", 3, "1e999"),
+    ("modes 4\ninput 1 0 1 0\npbs -1 1\n", 3, "-1"),
+    ("modes 2\ninput 1 -1\n", 2, "-1"),
+    (HOM.replace("herald 0=1 1=1", "herald -1=1"), 4, "-1=1"),
+    ("cluster {\n  nodes 2\n  edges 0-1\n  measure -1 angle 0\n}\n", 4, "-1"),
+    ("cluster {\n  nodes 2\n  measure 0 angle nan\n}\n", 3, "nan"),
+    ("cluster {\n  nodes 2\n  measure 0 angle inf succ 1\n}\n", 3, "inf"),
+    ("cluster {\n  nodes 2\n  measure 0 angle 10 succ -1\n}\n", 3, "-1"),
+    ("cluster {\n  nodes 2\n  measure 1 angle 10\n  measure 0 adapt -1\n}\n", 4, "-1"),
+    ("cluster {\n  nodes 2\n  measure 1 angle 10\n  measure 0 adapt \u00b2\n}\n", 4, "adapt"),
+]
+
+
+def test_negative_and_nonfinite_rejected_at_parse():
+    for text, line, token in NEGATIVE_OR_NONFINITE:
+        col = text.splitlines()[line - 1].index(token) + 1
+        with pytest.raises(SpecError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (line, col), (text, str(err.value))
 
 
 def test_golden_corpus_round_trips():
@@ -247,6 +291,25 @@ def test_cli_run_exit_codes(tmp_path, capsys):
 
     assert main(["run", str(tmp_path / "missing.lqs")]) == 1
 
+    cluster = str(DATA / "cluster_mc.lqs")
+    for argv in (
+        [str(good), "--trials", "0"],  # herald spec: used to divide by zero
+        [str(good), "--trials", "-3"],
+        [cluster, "--trials", "0"],
+        [str(good), "--seed", "-1"],
+        [cluster, "--seed", "-1"],
+        [str(good), "--trials", "x"],
+    ):
+        _assert_usage_error(main, ["run", *argv], capsys)
+
+
+def _assert_usage_error(main, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2, argv
+    err = capsys.readouterr().err
+    assert "must be >=" in err or "invalid int value" in err, (argv, err)
+
 
 def test_cli_out_file(tmp_path):
     from loqsim.cli import main
@@ -258,7 +321,7 @@ def test_cli_out_file(tmp_path):
     assert out.read_text().startswith("probability")
 
 
-def test_cli_subcommands(tmp_path):
+def test_cli_subcommands(tmp_path, capsys):
     from loqsim.cli import main
 
     out = tmp_path / "r.json"
@@ -278,3 +341,157 @@ def test_cli_subcommands(tmp_path):
     assert main(["cluster-demo", "--seed", "6", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["aggregate"]["oracle_overlap"] > 1 - 1e-10
+
+    for argv in (
+        ["teleport-cnot", "--trials", "0"],
+        ["teleport-cnot", "--trials", "-3"],
+        ["teleport-cnot", "--seed", "-1"],
+        ["hom", "--steps", "-2"],
+        ["hom", "--steps", "1"],
+        ["cnot-herald", "--seed", "-1"],
+        ["cluster-demo", "--seed", "-1"],
+    ):
+        _assert_usage_error(main, [*argv, "--out", str(out)], capsys)
+    assert main(["hom", "--steps", "2", "--out", str(out)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# properties over generated specs
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+UNIT = st.floats(0.0, 1.0)
+EMIT = st.sampled_from(["json", "csv"])
+
+
+def _distinct_pair(n: int):
+    return st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(tuple)
+
+
+def _element(kind: str, *params):
+    return st.tuples(*params).map(lambda p: ElementSpec(kind, p))
+
+
+def _elements(modes: int):
+    """Elements that touch only declared modes (hwp/qwp/pbs address pairs)."""
+    options = [_element("phase", st.integers(0, modes - 1), FINITE)]
+    if modes >= 2:
+        bs = st.tuples(_distinct_pair(modes), UNIT)
+        options.append(bs.map(lambda t: ElementSpec("bs", (*t[0], t[1]))))
+    pairs = modes // 2
+    if pairs >= 1:
+        options += [_element(k, st.integers(0, pairs - 1), FINITE) for k in ("hwp", "qwp")]
+    if pairs >= 2:
+        options.append(_distinct_pair(pairs).map(lambda pq: ElementSpec("pbs", pq)))
+    return st.lists(st.one_of(options), max_size=6).map(tuple)
+
+
+def _trials(draw):
+    if draw(st.booleans()):
+        return {"trials": draw(st.integers(1, 10**6)), "seed": draw(st.integers(0, 2**63))}
+    return {}
+
+
+@st.composite
+def photonic_specs(draw):
+    modes = draw(st.integers(1, 6))
+    occ = tuple(draw(st.lists(st.integers(0, 3), min_size=modes, max_size=modes)))
+    elements = draw(_elements(modes))
+    counts = st.dictionaries(st.integers(0, modes - 1), st.integers(0, 3), min_size=1)
+    herald = draw(st.none() | counts.map(lambda d: tuple(sorted(d.items()))))
+    spec = dict(modes=modes, input_occupations=occ, elements=elements, herald=herald)
+    params = []
+    if herald is not None:
+        params = ["eta"] + [f"r{k}" for k in range(sum(e.kind == "bs" for e in elements))]
+    if params and draw(st.booleans()):
+        param = draw(st.sampled_from(params))
+        sweep = SweepSpec(param, draw(UNIT), draw(UNIT), draw(st.integers(2, 50)))
+        return ExperimentSpec(**spec, sweep=sweep, emit=draw(EMIT))
+    return ExperimentSpec(**spec, **_trials(draw), emit=draw(EMIT))
+
+
+@st.composite
+def overlap_sweep_specs(draw):
+    modes = draw(st.integers(2, 5))
+    a, b = draw(_distinct_pair(modes))
+    return ExperimentSpec(
+        modes=modes,
+        input_occupations=tuple(int(m in (a, b)) for m in range(modes)),
+        elements=(ElementSpec("bs", (a, b, draw(UNIT))),),
+        herald=tuple(sorted({a: 1, b: 1}.items())),
+        sweep=SweepSpec("overlap", draw(UNIT), draw(UNIT), draw(st.integers(2, 50))),
+        emit=draw(EMIT),
+    )
+
+
+@st.composite
+def gate_specs(draw):
+    control = draw(st.integers(0, 1))
+    return ExperimentSpec(
+        modes=4,
+        input_occupations=tuple(draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))),
+        elements=draw(_elements(4)),
+        gate=GateSpec("klm_cnot", control, 1 - control),
+        **_trials(draw),
+        emit=draw(EMIT),
+    )
+
+
+@st.composite
+def cluster_specs(draw):
+    n = draw(st.integers(1, 8))
+    edges = tuple(draw(st.lists(_distinct_pair(n), max_size=10))) if n >= 2 else ()
+    order = draw(st.permutations(range(n)))
+    measures = []
+    for i, node in enumerate(order[: draw(st.integers(0, n))]):
+        seen = order[:i]
+        z = draw(st.booleans())
+        angle = draw(st.just(0.0) | FINITE) if z else draw(FINITE)
+        adapt = tuple(draw(st.lists(st.sampled_from(seen), max_size=3))) if seen else ()
+        free = [k for k in range(n) if k != node and k not in seen]
+        succ = draw(st.none() | st.sampled_from(free)) if free else None
+        measures.append(MeasureSpec(node, "z" if z else "xy", angle, adapt, succ))
+    cluster = ClusterSpec(n, edges, tuple(measures))
+    return ExperimentSpec(cluster=cluster, **_trials(draw), emit=draw(EMIT))
+
+
+SPECS = photonic_specs() | overlap_sweep_specs() | gate_specs() | cluster_specs()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(SPECS)
+def test_generated_specs_round_trip(spec):
+    text = serialize(spec)
+    assert parse(text) == spec
+    assert serialize(parse(text)) == text
+
+
+def _numeric_tokens(text: str):
+    """(line, col, token) of every count, index or real number in a spec."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for m in re.finditer(r"\S+", line):
+            if re.fullmatch(r"\d+|\d+=\d+|-?\d+(\.\d*)?(e[+-]?\d+)?", m.group(0)):
+                yield lineno, m.start() + 1, m.group(0)
+
+
+def _spoiled(token: str):
+    """Ways to make a token negative or non-finite."""
+    if "=" in token:
+        mode, count = token.split("=")
+        return [f"-1={count}", f"{mode}=-1"]
+    if token.isdecimal():
+        return ["-1"]
+    return ["nan", "inf", "-inf"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(SPECS, st.data())
+def test_negative_or_nonfinite_token_is_located(spec, data):
+    lines = serialize(spec).splitlines()
+    line, col, token = data.draw(st.sampled_from(list(_numeric_tokens("\n".join(lines)))))
+    row = lines[line - 1]
+    bad = data.draw(st.sampled_from(_spoiled(token)))
+    lines[line - 1] = row[: col - 1] + bad + row[col - 1 + len(token):]
+    with pytest.raises(SpecError) as err:
+        parse("\n".join(lines))
+    assert (err.value.line, err.value.col) == (line, col)
