@@ -26,8 +26,11 @@ parse -> serialize -> parse round trip reproduces the spec exactly).
 
 Every parse failure is a located SpecError diagnostic (line and column),
 never a crash.  Counts and indices are integers >= 0; numbers are
-finite.  A spec runs in exactly one mode: `sweep` and `trials` are
-mutually exclusive; with neither, it is a single deterministic run.
+finite.  An `input` whose photon-number sector holds more than
+`interferometer.SECTOR_CAP` amplitudes is refused, and so is a cluster
+edge listed twice.  A spec runs in exactly one mode: `sweep` and
+`trials` are mutually exclusive; with neither, it is a single
+deterministic run.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+
+from .interferometer import SECTOR_CAP, sector_size
 
 _TOKEN = re.compile(r"\S+")
 
@@ -209,6 +214,15 @@ class _Parser:
         occ = []
         for tok, col in toks[1:]:
             occ.append(_as_int(tok, line, col, "occupation"))
+        photons = sum(occ)
+        size = sector_size(photons, len(occ))
+        if size > SECTOR_CAP:
+            raise SpecError(
+                f"input of {photons} photons over {len(occ)} modes spans "
+                f"{size} amplitudes, cap is {SECTOR_CAP}",
+                line,
+                toks[0][1],
+            )
         self.input = (tuple(occ), line)
 
     def _element(self, kind, params, line, col):
@@ -367,7 +381,12 @@ class _Parser:
                     m = re.fullmatch(r"(\d+)-(\d+)", tok)
                     if not m:
                         raise SpecError(f"edge must be a-b, got {tok!r}", blineno, tcol)
-                    edges.append((int(m.group(1)), int(m.group(2))))
+                    a, b = int(m.group(1)), int(m.group(2))
+                    if (a, b) in edges or (b, a) in edges:
+                        raise SpecError(
+                            f"duplicate edge ({min(a, b)}, {max(a, b)})", blineno, tcol
+                        )
+                    edges.append((a, b))
             elif head == "measure":
                 measures.append(self._parse_measure(btoks, blineno))
             else:

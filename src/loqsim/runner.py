@@ -175,6 +175,13 @@ def _logical_json(state: LogicalState | None) -> str:
 # run modes
 # ---------------------------------------------------------------------------
 
+def _checked_trials(trials: int) -> int:
+    trials = int(trials)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return trials
+
+
 def run(
     spec: ExperimentSpec,
     seed: int | None = None,
@@ -182,7 +189,7 @@ def run(
 ) -> Report:
     """Dispatch a parsed spec; overrides replace the spec's own values."""
     eff_seed = spec.seed if seed is None else int(seed)
-    eff_trials = spec.trials if trials is None else int(trials)
+    eff_trials = spec.trials if trials is None else _checked_trials(trials)
 
     if spec.sweep is not None:
         return _run_sweep(spec, eff_seed)
@@ -405,6 +412,7 @@ def cnot_herald_report(seed: int = 0) -> Report:
 
 def teleport_cnot_report(trials: int, seed: int) -> Report:
     """Monte Carlo of the teleported CNOT on random product inputs."""
+    trials = _checked_trials(trials)
     rows = []
     total_pairs = 0
     min_overlap = 1.0

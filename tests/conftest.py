@@ -11,6 +11,7 @@ import pytest
 from loqsim.cluster import PatternResult, PauliFrame, initial_cluster_state, measure_node
 from loqsim.detection import rng_from_seed
 from loqsim.fock import PhotonicState
+from loqsim.interferometer import ModeUnitary, compositions, permanent
 
 
 def naive_permanent(matrix) -> complex:
@@ -34,7 +35,7 @@ def brute_force_apply(u: np.ndarray, state: PhotonicState) -> PhotonicState:
     Each input photon in mode i becomes sum_j U[j,i] a_j^dagger; the
     m^n-term expansion is collected by output occupation with the
     sqrt(n!) ladder factors.  Exponential and permanent-free, so it is an
-    independent check of the Ryser-based path.
+    independent check of both `apply` and `ryser_apply`.
     """
     m = state.mode_count
     out: dict[tuple[int, ...], complex] = {}
@@ -56,6 +57,53 @@ def brute_force_apply(u: np.ndarray, state: PhotonicState) -> PhotonicState:
         norm = math.sqrt(np.prod([math.factorial(c) for c in occ]))
         final[occ] = amp * norm
     return PhotonicState(m, final)
+
+
+def _repeat_indices(occ) -> list[int]:
+    out: list[int] = []
+    for idx, count in enumerate(occ):
+        out.extend([idx] * count)
+    return out
+
+
+def _sqrt_factorial_product(occ) -> float:
+    prod = 1
+    for c in occ:
+        prod *= math.factorial(c)
+    return math.sqrt(prod)
+
+
+def ryser_apply(u: ModeUnitary, state: PhotonicState) -> PhotonicState:
+    """One Ryser permanent per output occupation.
+
+    The evolution loop that `apply` replaced with the creation-operator
+    expansion: <T|U|S> = perm(U[S, T]) / sqrt(prod S_i! prod T_j!) for
+    every target T of each sector, in lexicographic order.
+    """
+    if u.dim != state.mode_count:
+        raise ValueError(
+            f"unitary acts on {u.dim} modes, state has {state.mode_count}"
+        )
+    m = state.mode_count
+    sectors: dict[int, list[tuple[tuple[int, ...], complex]]] = {}
+    for occ, amp in state.terms.items():
+        sectors.setdefault(sum(occ), []).append((occ, amp))
+
+    out: dict[tuple[int, ...], complex] = {}
+    for n, terms in sorted(sectors.items()):
+        targets = list(compositions(n, m))
+        target_rows = [_repeat_indices(t) for t in targets]
+        target_norms = [_sqrt_factorial_product(t) for t in targets]
+        for occ, amp in terms:
+            cols = _repeat_indices(occ)
+            u_cols = u.matrix[:, cols]
+            scale = amp / _sqrt_factorial_product(occ)
+            for t_occ, rows, t_norm in zip(targets, target_rows, target_norms):
+                sub = u_cols[rows, :]
+                contrib = scale * permanent(sub) / t_norm
+                if contrib != 0j:
+                    out[t_occ] = out.get(t_occ, 0j) + contrib
+    return PhotonicState(m, out)
 
 
 def monolithic_run(graph, schedule, seed):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,39 @@ def test_negative_and_nonfinite_rejected_at_parse():
         assert (err.value.line, err.value.col) == (line, col), (text, str(err.value))
 
 
+DUPLICATE_EDGES = [
+    # (text, line, offending token)
+    ("cluster {\n  nodes 2\n  edges 0-1 1-0\n}\n", 3, "1-0"),
+    ("cluster {\n  nodes 2\n  edges 0-1 0-1\n}\n", 3, "0-1 "),
+    ("cluster {\n  nodes 3\n  edges 0-1 1-2\n  edges 2-1\n}\n", 4, "2-1"),
+]
+
+
+def test_duplicate_edges_rejected_at_parse():
+    for text, line, token in DUPLICATE_EDGES:
+        row = text.splitlines()[line - 1]
+        col = row.rindex(token.strip()) + 1
+        with pytest.raises(SpecError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (line, col), (text, str(err.value))
+        assert "duplicate edge" in err.value.message
+
+
+def test_sector_over_cap_rejected_at_parse():
+    # 10 photons over 40 modes: C(49, 10) ~ 8e9 amplitudes; 16/8 is over too
+    for occ in ([1] * 10 + [0] * 30, [1] * 8 + [0] * 8):
+        text = f"# wide\nmodes {len(occ)}\n  input {' '.join(map(str, occ))}\n"
+        t0 = time.perf_counter()
+        with pytest.raises(SpecError) as err:
+            parse(text)
+        assert time.perf_counter() - t0 < 1.0
+        assert (err.value.line, err.value.col) == (3, 3)
+        assert "cap is 200000" in err.value.message
+    # the advertised 16/6 and 20/6 parse
+    for modes in (16, 20):
+        parse(f"modes {modes}\ninput {' '.join(['1'] * 6 + ['0'] * (modes - 6))}\n")
+
+
 def test_golden_corpus_round_trips():
     files = sorted(DATA.glob("*.lqs"))
     assert len(files) >= 10
@@ -303,6 +337,32 @@ def test_cli_run_exit_codes(tmp_path, capsys):
         _assert_usage_error(main, ["run", *argv], capsys)
 
 
+def test_cli_refusals_exit_2(tmp_path, capsys):
+    from loqsim.cli import main
+
+    wide = tmp_path / "wide.lqs"
+    wide.write_text("modes 40\ninput " + " ".join(["1"] * 10 + ["0"] * 30) + "\n")
+    edges = tmp_path / "edges.lqs"
+    edges.write_text("cluster {\n  nodes 2\n  edges 0-1 1-0\n  measure 0 angle 0\n}\n")
+    for path, where in ((wide, "line 2, col 1"), (edges, "line 3, col 13")):
+        t0 = time.perf_counter()
+        assert main(["run", str(path)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err, err
+
+
+def test_library_trials_below_one_refused():
+    from loqsim.runner import teleport_cnot_report
+
+    spec = parse((DATA / "hom_null.lqs").read_text())
+    for trials in (0, -2):
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            run(spec, trials=trials)
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            teleport_cnot_report(trials, 3)
+
+
 def _assert_usage_error(main, argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -440,7 +500,8 @@ def gate_specs(draw):
 @st.composite
 def cluster_specs(draw):
     n = draw(st.integers(1, 8))
-    edges = tuple(draw(st.lists(_distinct_pair(n), max_size=10))) if n >= 2 else ()
+    pairs = st.lists(_distinct_pair(n), max_size=10, unique_by=frozenset)
+    edges = tuple(draw(pairs)) if n >= 2 else ()
     order = draw(st.permutations(range(n)))
     measures = []
     for i, node in enumerate(order[: draw(st.integers(0, n))]):

@@ -1,12 +1,19 @@
+import json
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loqsim.fock import make_basis_state, superpose, total_photon_number
+from loqsim.fock import PhotonicState, make_basis_state, superpose, total_photon_number
 from loqsim.interferometer import (
+    SECTOR_CAP,
     ModeUnitary,
+    _raising_tables,
+    _sector_keys,
     apply,
     beamsplitter,
     compose,
@@ -19,10 +26,11 @@ from loqsim.interferometer import (
     phase,
     qwp,
     rotation_elements,
+    sector_size,
     swap,
 )
 
-from conftest import brute_force_apply, naive_permanent, random_unitary
+from conftest import brute_force_apply, naive_permanent, random_unitary, ryser_apply
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]]) * SQRT_HALF
@@ -246,6 +254,170 @@ def test_mixed_sector_evolution():
 def test_apply_dimension_mismatch():
     with pytest.raises(ValueError):
         apply(ModeUnitary(np.eye(3)), make_basis_state([1, 0]))
+
+
+def _random_input(rng, modes: int, photons: int, bunched: bool) -> tuple[int, ...]:
+    """Collision-free input, or one with a doubly occupied mode."""
+    if bunched:
+        picks = [int(rng.integers(modes))] * 2 + list(rng.integers(0, modes, size=photons - 2))
+    else:
+        picks = rng.choice(modes, size=photons, replace=False)
+    return tuple(int(c) for c in np.bincount(picks, minlength=modes))
+
+
+def _assert_same_state(a: PhotonicState, b: PhotonicState, tol: float):
+    for occ in set(a.terms) | set(b.terms):
+        assert abs(a.amplitude(occ) - b.amplitude(occ)) <= tol, occ
+
+
+def test_apply_matches_ryser_and_brute_force(rng):
+    for modes, photons in [(2, 2), (3, 3), (4, 2), (5, 3), (6, 3), (8, 4)]:
+        u = random_unitary(rng, modes)
+        free = _random_input(rng, modes, photons, bunched=False)
+        bunch = _random_input(rng, modes, photons, bunched=True)
+        one = (1,) + (0,) * (modes - 1)
+        states = [
+            make_basis_state(free),
+            make_basis_state(bunch),
+            superpose(make_basis_state(free), 0.6, make_basis_state(bunch), 0.8j),
+            PhotonicState(
+                modes, {(0,) * modes: 0.4, one: -0.3j, free: 0.5, bunch: 0.7 + 0.1j}
+            ).normalized(),
+        ]
+        for state in states:
+            fast = apply(ModeUnitary(u), state)
+            _assert_same_state(fast, ryser_apply(ModeUnitary(u), state), 1e-12)
+            _assert_same_state(fast, brute_force_apply(u, state), 1e-12)
+
+
+def test_sector_tables_follow_compositions():
+    for modes in range(1, 6):
+        for photons in range(5):
+            keys = _sector_keys(photons, modes)
+            assert keys == list(compositions(photons, modes))
+            occ, up = _raising_tables(photons, modes)
+            assert [tuple(col) for col in occ.T.tolist()] == keys
+            above = list(compositions(photons + 1, modes))
+            for s, occupation in enumerate(keys):
+                for j in range(modes):
+                    raised = list(occupation)
+                    raised[j] += 1
+                    assert above[up[j, s]] == tuple(raised)
+
+
+def _repeat(occ) -> list[int]:
+    return [i for i, c in enumerate(occ) for _ in range(c)]
+
+
+def test_apply_16_modes_6_photons_budget(rng):
+    u = random_unitary(rng, 16)
+    occ = _random_input(rng, 16, 6, bunched=False)
+    t0 = time.perf_counter()
+    out = apply(ModeUnitary(u), make_basis_state(occ))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 3.0, f"16/6 apply took {elapsed:.2f}s (budget 3s)"
+    assert abs(out.norm_squared() - 1.0) < 1e-10
+    targets = list(compositions(6, 16))
+    for k in rng.choice(len(targets), size=5, replace=False):
+        t = targets[k]
+        norm = math.sqrt(math.prod(math.factorial(c) for c in t))
+        expected = naive_permanent(u[np.ix_(_repeat(t), _repeat(occ))]) / norm
+        assert abs(out.amplitude(t) - expected) < 1e-12
+
+
+def test_apply_refuses_oversized_sector():
+    assert sector_size(6, 16) <= sector_size(6, 20) <= SECTOR_CAP < sector_size(8, 16)
+    assert sector_size(10, 40) > SECTOR_CAP
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="cap is 200000"):
+        apply(ModeUnitary(np.eye(40)), make_basis_state([1] * 10 + [0] * 30))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_apply_refuses_lost_precision(tmp_path, capsys):
+    from loqsim.cli import main
+
+    u = compose([beamsplitter(0, 1, 0.5)], 2)
+    assert abs(apply(u, make_basis_state([30, 30])).norm_squared() - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="lost floating-point precision"):
+        apply(u, make_basis_state([64, 64]))
+    spec = tmp_path / "bunched.lqs"
+    spec.write_text("modes 2\ninput 64 64\nbs 0 1 0.5\n")
+    assert main(["run", str(spec)]) == 1
+    assert "lost floating-point precision" in capsys.readouterr().err
+
+
+@st.composite
+def networks(draw):
+    """Random bs/phase network on 1-6 modes and a state of up to 4 photons."""
+    modes = draw(st.integers(1, 6))
+    elements = []
+    for _ in range(draw(st.integers(0, 8))):
+        if modes >= 2 and draw(st.booleans()):
+            a, b = draw(st.permutations(range(modes)))[:2]
+            elements.append(beamsplitter(a, b, draw(st.floats(0.0, 1.0))))
+        else:
+            m = draw(st.integers(0, modes - 1))
+            elements.append(phase(m, draw(st.floats(-7.0, 7.0))))
+    occupations = st.lists(st.integers(0, 2), min_size=modes, max_size=modes).filter(
+        lambda occ: sum(occ) <= 4
+    )
+    amps = st.complex_numbers(max_magnitude=1.0, min_magnitude=0.1, allow_nan=False)
+    terms = draw(st.dictionaries(occupations.map(tuple), amps, min_size=1, max_size=5))
+    return compose(elements, modes), PhotonicState(modes, terms).normalized()
+
+
+def _sector_weights(state: PhotonicState) -> dict[int, float]:
+    weights: dict[int, float] = {}
+    for occ, amp in state.items():
+        weights[sum(occ)] = weights.get(sum(occ), 0.0) + abs(amp) ** 2
+    return weights
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(networks())
+def test_norm_and_photon_number_conserved(network):
+    u, state = network
+    out = apply(u, state)
+    assert abs(out.norm_squared() - 1.0) < 1e-10
+    before, after = _sector_weights(state), _sector_weights(out)
+    assert set(after) <= set(before)
+    for n, weight in before.items():
+        assert abs(after.get(n, 0.0) - weight) < 1e-10, n
+
+
+def _mesh_spec(rng, modes: int, occ) -> str:
+    lines = [f"modes {modes}", "input " + " ".join(map(str, occ))]
+    for layer in range(modes):
+        for a in range(layer % 2, modes - 1, 2):
+            lines.append(f"bs {a} {a + 1} {rng.uniform(0.05, 0.95):.9g}")
+            lines.append(f"phase {a} {rng.uniform(0.0, 360.0):.9g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("modes, photons, bunched", [(12, 6, True), (16, 5, False)])
+def test_cli_full_sector_against_permanents(tmp_path, capsys, rng, modes, photons, bunched):
+    from loqsim.cli import main
+    from loqsim.dsl import parse
+    from loqsim.runner import lower_elements
+
+    occ = _random_input(rng, modes, photons, bunched)
+    text = _mesh_spec(rng, modes, occ)
+    path = tmp_path / "mesh.lqs"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["rows"]) == sector_size(photons, modes)
+    assert abs(report["aggregate"]["norm_squared"] - 1.0) < 1e-10
+
+    u = compose(lower_elements(parse(text).elements), modes).matrix
+    in_norm = math.sqrt(math.prod(math.factorial(c) for c in occ))
+    for k in rng.choice(len(report["rows"]), size=3, replace=False):
+        label, re_part, im_part, _prob = report["rows"][k]
+        t = tuple(int(x) for x in label.split())
+        norm = in_norm * math.sqrt(math.prod(math.factorial(c) for c in t))
+        expected = naive_permanent(u[np.ix_(_repeat(t), _repeat(occ))]) / norm
+        assert abs(complex(re_part, im_part) - expected) < 1e-12
 
 
 # ---------------------------------------------------------------------------
