@@ -39,13 +39,14 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .detection import rng_from_seed
+from .detection import project, rng_from_seed
 from .encoding import LogicalState
 
 NODE_CAP = 20
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _PLUS = (complex(_SQRT_HALF), complex(_SQRT_HALF))
+_Z_BASIS = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -225,8 +226,14 @@ def build_cluster(graph: ClusterGraph) -> LogicalState:
     return initial_cluster_state(graph).sorted_logical()
 
 
+def _check_node_cap(graph: ClusterGraph) -> None:
+    if len(graph.nodes) > NODE_CAP:
+        raise ValueError(f"cluster has {len(graph.nodes)} nodes, cap is {NODE_CAP}")
+
+
 def initial_cluster_state(graph: ClusterGraph) -> ClusterState:
     """Fully built, unmeasured cluster as a ClusterState (for measure_node)."""
+    _check_node_cap(graph)
     state = ClusterState.empty(graph)
     for node in graph.nodes:
         state = state.with_node(node)
@@ -284,36 +291,14 @@ def measure_node(
             flip ^= outcomes[ref]
         eff = -instr.angle if flip else instr.angle
         e = cmath.exp(-1j * eff)
-        basis0 = np.array([1.0, e]) * _SQRT_HALF
-        basis1 = np.array([1.0, -e]) * _SQRT_HALF
+        vectors = (np.array([1.0, e]) * _SQRT_HALF, np.array([1.0, -e]) * _SQRT_HALF)
     else:
         eff = 0.0
-        basis0 = np.array([1.0, 0.0], dtype=complex)
-        basis1 = np.array([0.0, 1.0], dtype=complex)
+        vectors = _Z_BASIS
 
-    n = len(state.nodes)
-    t = np.moveaxis(state.amps.reshape([2] * n), i, 0).reshape(2, -1)
-    branch0 = basis0.conj() @ t
-    branch1 = basis1.conj() @ t
-    p0 = float(np.linalg.norm(branch0) ** 2)
-    p1 = float(np.linalg.norm(branch1) ** 2)
-    total = p0 + p1
-
-    if force is not None:
-        outcome = int(force)
-        if (p0 if outcome == 0 else p1) < 1e-12:
-            raise ValueError(
-                f"forced outcome {outcome} on node {node} has probability 0"
-            )
-    else:
-        u = rng_from_seed(seed).random() * total
-        outcome = 0 if u < p0 else 1
-
-    raw = branch0 if outcome == 0 else branch1
-    prob = p0 if outcome == 0 else p1
-    amps = raw / math.sqrt(prob)
+    outcome, amps, _p = project(state.amps, len(state.nodes), (i,), vectors, seed, force)
     rest_nodes = state.nodes[:i] + state.nodes[i + 1 :]
-    new_state = ClusterState(state.graph, rest_nodes, amps.reshape(-1))
+    new_state = ClusterState(state.graph, rest_nodes, amps)
 
     measured = set(outcomes) | {node}
     if instr.basis == "xy":
@@ -375,8 +360,7 @@ def run_pattern(
     `force` pins chosen nodes' outcomes (for exploring all branches);
     unforced nodes sample from the Born rule with the given seed.
     """
-    if len(graph.nodes) > NODE_CAP:
-        raise ValueError(f"cluster has {len(graph.nodes)} nodes, cap is {NODE_CAP}")
+    _check_node_cap(graph)
     events: list[GrowEvent] = []
     added: set[int] = set()
     bonded: set[tuple[int, int]] = set()

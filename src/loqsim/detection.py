@@ -11,16 +11,20 @@ The residual state of a record is the dominant loss-free detection branch
 identify a unique branch).  Terms whose measured-mode counts differ are
 distinguishable once the detectors fire, so they never re-interfere.
 
-Monte Carlo sampling uses numpy's seedable PCG64 generator; parallel
-trials derive independent streams from (seed, trial_index) so results do
-not depend on scheduling.
+`sample` is the one Born-rule draw: u = rng.random() * sum(probs), and
+the first outcome with p > 0 whose running sum exceeds u wins.  `project`
+is the one dense projective measurement (Bell analysis, cluster nodes).
+`force` names an outcome index instead of drawing (no random number is
+used); an index out of range or below PROB_TOL in probability is refused.
+Trial i of a Monte Carlo run draws from its own PCG64 stream
+derive_rng(seed, i), so results do not depend on scheduling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -172,10 +176,7 @@ def herald(
         residual = PhotonicState(rest_modes, {})
         probability = max(probability, 0.0)
     else:
-        norm = math.sqrt(sum(abs(a) ** 2 for a in best_group.values()))
-        residual = PhotonicState(
-            rest_modes, {occ: a / norm for occ, a in best_group.items()}
-        )
+        residual = _renormalized(rest_modes, best_group, best_weight)
 
     if detector.number_resolving:
         outcome = pattern.counts
@@ -187,16 +188,35 @@ def herald(
     return DetectionRecord(outcome, probability, residual)
 
 
+def _renormalized(rest_modes: int, terms: dict, weight: float) -> PhotonicState:
+    norm = math.sqrt(weight)
+    return PhotonicState(rest_modes, {occ: a / norm for occ, a in terms.items()})
+
+
+def herald_branches(
+    state: PhotonicState, modes: tuple[int, ...]
+) -> dict[tuple[int, ...], tuple[float, PhotonicState]]:
+    """(probability, residual) of every count pattern on `modes` that occurs.
+
+    One grouping of the state serves every branch; each entry equals
+    herald(state, pattern) with ideal detectors for that pattern.
+    """
+    rest_modes = state.mode_count - len(modes)
+    empty = PhotonicState(rest_modes, {})
+    out = {}
+    for measured, terms in sorted(_split_groups(state, modes).items()):
+        weight = sum(abs(a) ** 2 for a in terms.values())
+        residual = _renormalized(rest_modes, terms, weight) if weight > PROB_TOL else empty
+        out[measured] = (weight, residual)
+    return out
+
+
 def herald_completeness(
     state: PhotonicState, modes: Iterable[int], detector: DetectorModel = IDEAL_DETECTOR
 ) -> dict[tuple[int, ...], float]:
     """Probability of every count pattern on `modes` (diagnostic helper)."""
     modes = tuple(sorted(set(int(m) for m in modes)))
-    groups = _split_groups(state, modes)
-    out: dict[tuple[int, ...], float] = {}
-    for measured, terms in sorted(groups.items()):
-        weight = sum(abs(a) ** 2 for a in terms.values())
-        out[measured] = out.get(measured, 0.0) + weight
+    out = {counts: p for counts, (p, _res) in herald_branches(state, modes).items()}
     if detector.efficiency >= 1.0 and detector.number_resolving:
         return out
     # fold loss: redistribute each true pattern over observable ones
@@ -237,22 +257,63 @@ def derive_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial_index)])
 
 
-def measure_all(state: PhotonicState, seed) -> tuple[Occupation, float]:
-    """Sample one occupation vector with probability |amplitude|^2."""
+def sample(probs: Sequence[float], seed, force: int | None = None) -> int:
+    """Born-rule draw of an outcome index from unnormalized probabilities.
+
+    If rounding leaves u at or past the running total, the last outcome
+    with p > 0 is returned; all-zero probabilities are an error.  `force`
+    returns that index without drawing, if it is possible.
+    """
+    if force is not None:
+        if force not in range(len(probs)):
+            raise ValueError(f"forced outcome {force} is not one of {len(probs)} outcomes")
+        if probs[force] < PROB_TOL:
+            raise ValueError(f"forced outcome {force} has probability 0")
+        return force
+    u = rng_from_seed(seed).random() * sum(probs)
+    acc = 0.0
+    last = None
+    for k, p in enumerate(probs):
+        if p > 0.0:
+            acc += p
+            last = k
+            if u < acc:
+                return k
+    if last is None:
+        raise ValueError("state has no support on the measurement outcomes")
+    return last
+
+
+def project(
+    amps: np.ndarray, n: int, axes: Sequence[int], vectors, seed, force: int | None = None
+) -> tuple[int, np.ndarray, float]:
+    """Measure qubit axes of an n-qubit vector against outcome vectors.
+
+    Each vector has 2**len(axes) entries, the first axis most
+    significant.  Returns the drawn index, the renormalized amplitudes of
+    the other qubits (in their original order) and the outcome's
+    probability.
+    """
+    rest = [a for a in range(n) if a not in axes]
+    t = amps.reshape([2] * n).transpose([*axes, *rest]).reshape(1 << len(axes), -1)
+    branches = [v.conj() @ t for v in vectors]
+    probs = [float(np.linalg.norm(b) ** 2) for b in branches]
+    index = sample(probs, seed, force)
+    return index, branches[index] / math.sqrt(probs[index]), probs[index]
+
+
+def born_table(state: PhotonicState) -> tuple[list[Occupation], list[float]]:
+    """Occupations of a normalized state in lexicographic order, with
+    their probabilities |amplitude|^2."""
     norm2 = state.norm_squared()
     if abs(norm2 - 1.0) > 1e-9:
-        raise ValueError(
-            f"measure_all needs a normalized state (norm^2 = {norm2:.6g})"
-        )
-    rng = rng_from_seed(seed)
-    u = rng.random() * norm2
-    acc = 0.0
-    last: tuple[Occupation, float] | None = None
-    for occ, amp in state.items():
-        p = abs(amp) ** 2
-        acc += p
-        last = (occ, p)
-        if u < acc:
-            return occ, p
-    assert last is not None
-    return last
+        raise ValueError(f"sampling needs a normalized state (norm^2 = {norm2:.6g})")
+    items = list(state.items())
+    return [occ for occ, _ in items], [abs(amp) ** 2 for _, amp in items]
+
+
+def measure_all(state: PhotonicState, seed) -> tuple[Occupation, float]:
+    """Sample one occupation vector with probability |amplitude|^2."""
+    outcomes, probs = born_table(state)
+    k = sample(probs, seed)
+    return outcomes[k], probs[k]

@@ -32,7 +32,7 @@ from .detection import (
     HeraldPattern,
     IDEAL_DETECTOR,
     herald,
-    herald_completeness,
+    herald_branches,
 )
 from .encoding import LogicalState, QubitEncoding, decode, encode, logical_projection
 from .fock import PhotonicState, make_basis_state, tensor
@@ -210,31 +210,24 @@ def run_heralded(
     full = tensor(encoded, make_basis_state(gate.ancilla_occupations))
     out = apply(gate.unitary(), full)
 
-    record = herald(out, gate.herald, IDEAL_DETECTOR)
-    probability = record.probability * detector.efficiency ** gate.herald_photons()
+    branches = herald_branches(out, gate.herald.modes)
+    success_counts = tuple(c for _, c in gate.herald.counts)
+    p_herald, residual = branches.pop(success_counts, (0.0, None))
+    probability = p_herald * detector.efficiency ** gate.herald_photons()
 
     logical = None
     leakage = 0.0
-    if record.probability > 0.0:
-        logical, leakage = decode(record.residual_state, gate.logical_io)
-
-    branches = []
-    success_counts = tuple(c for _, c in gate.herald.counts)
-    for counts, _prob in sorted(
-        herald_completeness(out, gate.herald.modes).items()
-    ):
-        if counts == success_counts:
-            continue
-        pattern = HeraldPattern(tuple(zip(gate.herald.modes, counts)))
-        rec = herald(out, pattern, IDEAL_DETECTOR)
-        branches.append((counts, rec.probability, rec.residual_state))
+    if p_herald > 0.0:
+        logical, leakage = decode(residual, gate.logical_io)
 
     return GateRunResult(
         success=probability > 0.0,
         probability=probability,
         logical_action=logical,
         leakage=leakage,
-        failure_branches=tuple(branches),
+        failure_branches=tuple(
+            (counts, p, res) for counts, (p, res) in branches.items()
+        ),
     )
 
 

@@ -22,9 +22,10 @@ from .cluster import ClusterGraph, MeasurementInstruction, run_pattern, transcri
 from .detection import (
     DetectorModel,
     HeraldPattern,
+    born_table,
     derive_rng,
     herald,
-    measure_all,
+    sample,
 )
 from .dsl import ElementSpec, ExperimentSpec, SpecError
 from .encoding import QubitEncoding, decode
@@ -311,54 +312,50 @@ def _run_sweep(spec: ExperimentSpec, seed: int) -> Report:
     return Report("sweep", columns, rows, [("steps", sw.steps)], seed)
 
 
+def _trial_rows(seed: int, trials: int, trial) -> list[list]:
+    """The one Monte Carlo loop: row [i, *trial(rng)] per trial, each trial
+    on its own stream derive_rng(seed, i)."""
+    return [[i, *trial(derive_rng(seed, i))] for i in range(trials)]
+
+
 def _run_monte_carlo(spec: ExperimentSpec, seed: int, trials: int) -> Report:
     if spec.cluster is not None:
         graph, schedule = _cluster_parts(spec)
-        rows = []
-        for i in range(trials):
-            result = run_pattern(graph, schedule, derive_rng(seed, i))
-            bits = "".join(str(o) for _n, _b, o in result.transcript)
-            rows.append([i, bits])
+
+        def pattern_trial(rng):
+            result = run_pattern(graph, schedule, rng)
+            return ["".join(str(o) for _n, _b, o in result.transcript)]
+
+        rows = _trial_rows(seed, trials, pattern_trial)
         return Report(
             "monte-carlo", ["trial", "outcomes"], rows, [("trials", trials)], seed
         )
 
     if spec.gate is not None:
-        io_state = _evolved(spec)
-        record = run_photonic(_gate_for(spec), io_state, DetectorModel())
-        p = record.probability
-        rows = []
-        successes = 0
-        for i in range(trials):
-            hit = int(derive_rng(seed, i).random() < p)
-            successes += hit
-            rows.append([i, hit])
+        p = run_photonic(_gate_for(spec), _evolved(spec), DetectorModel()).probability
+        rows = _trial_rows(seed, trials, lambda rng: [int(rng.random() < p)])
         agg = [
             ("herald_probability", p),
-            ("success_rate", successes / trials),
+            ("success_rate", sum(row[1] for row in rows) / trials),
             ("trials", trials),
         ]
         return Report("monte-carlo", ["trial", "success"], rows, agg, seed)
 
-    out = _evolved(spec)
-    norm2 = out.norm_squared()
-    if abs(norm2 - 1.0) > 1e-9:
-        raise ValueError("monte-carlo sampling needs a normalized pipeline output")
+    outcomes, probs = born_table(_evolved(spec))
     pattern = HeraldPattern(spec.herald) if spec.herald is not None else None
-    rows = []
-    matches = 0
-    for i in range(trials):
-        occ, _p = measure_all(out, derive_rng(seed, i))
-        row = [i, " ".join(str(n) for n in occ)]
+
+    def sampling_trial(rng):
+        occ = outcomes[sample(probs, rng)]
+        row = [" ".join(str(n) for n in occ)]
         if pattern is not None:
-            ok = int(all(occ[m] == c for m, c in pattern.counts))
-            matches += ok
-            row.append(ok)
-        rows.append(row)
+            row.append(int(all(occ[m] == c for m, c in pattern.counts)))
+        return row
+
+    rows = _trial_rows(seed, trials, sampling_trial)
     columns = ["trial", "outcome"] + (["matched"] if pattern else [])
     agg = [("trials", trials)]
     if pattern is not None:
-        agg.append(("match_rate", matches / trials))
+        agg.append(("match_rate", sum(row[2] for row in rows) / trials))
     return Report("monte-carlo", columns, rows, agg, seed)
 
 
@@ -413,25 +410,22 @@ def cnot_herald_report(seed: int = 0) -> Report:
 def teleport_cnot_report(trials: int, seed: int) -> Report:
     """Monte Carlo of the teleported CNOT on random product inputs."""
     trials = _checked_trials(trials)
-    rows = []
-    total_pairs = 0
-    min_overlap = 1.0
     cnot = cnot_matrix()
-    for i in range(trials):
-        rng = derive_rng(seed, i)
+
+    def trial(rng):
         c = _random_qubit(rng)
         t = _random_qubit(rng)
         output, tally = teleported_cnot(c, t, rng)
-        expected = LogicalState(cnot @ c.tensor(t).amps)
-        overlap = output.overlap(expected)
-        total_pairs += tally.entangled_pairs_consumed
-        min_overlap = min(min_overlap, overlap)
-        rows.append([i, tally.attempts, tally.entangled_pairs_consumed, overlap])
+        overlap = output.overlap(LogicalState(cnot @ c.tensor(t).amps))
+        return [tally.attempts, tally.entangled_pairs_consumed, overlap]
+
+    rows = _trial_rows(seed, trials, trial)
+    total_pairs = sum(row[2] for row in rows)
     agg = [
         ("trials", trials),
         ("mean_pairs", total_pairs / trials),
         ("mean_attempts", total_pairs / trials / 2.0),
-        ("min_overlap", min_overlap),
+        ("min_overlap", min([1.0] + [row[3] for row in rows])),
     ]
     return Report(
         "monte-carlo", ["trial", "attempts", "pairs", "overlap"], rows, agg, seed

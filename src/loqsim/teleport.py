@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detection import rng_from_seed
+from .detection import project, rng_from_seed
 from .encoding import LogicalState
 from .heralded import conditional_logical_map, klm_cnot
 
@@ -104,52 +104,24 @@ def bell_pair() -> LogicalState:
     return LogicalState(_BELL_VECTORS[BellLabel.PHI_PLUS])
 
 
-def _pair_coefficients(
-    state: LogicalState, qubits: tuple[int, int]
-) -> np.ndarray:
-    """Amplitudes reshaped to (4, rest) with the measured pair in front."""
-    i, j = qubits
-    if i == j or not (0 <= i < state.n and 0 <= j < state.n):
-        raise ValueError(f"invalid qubit pair {qubits} for {state.n} qubits")
-    t = state.amps.reshape([2] * state.n)
-    t = np.moveaxis(t, (i, j), (0, 1))
-    return t.reshape(4, -1)
-
-
 def _project_outcomes(
     state: LogicalState,
     qubits: tuple[int, int],
     projectors: list[tuple[object, np.ndarray]],
     seed,
     force=None,
-) -> tuple[object, LogicalState, float]:
-    coeffs = _pair_coefficients(state, qubits)
-    residuals = [(label, vec.conj() @ coeffs) for label, vec in projectors]
-    probs = [float(np.linalg.norm(r) ** 2) for _, r in residuals]
-
-    if force is not None:
-        for (label, r), p in zip(residuals, probs):
-            if label == force:
-                if p < 1e-12:
-                    raise ValueError(f"forced outcome {force} has probability 0")
-                return label, _residual_state(r, p), p
+) -> tuple[object, LogicalState]:
+    """Draw one labelled outcome on a qubit pair; `force` is a label."""
+    i, j = qubits
+    if i == j or not (0 <= i < state.n and 0 <= j < state.n):
+        raise ValueError(f"invalid qubit pair {qubits} for {state.n} qubits")
+    labels = [label for label, _ in projectors]
+    if force is not None and force not in labels:
         raise ValueError(f"unknown forced outcome {force!r}")
-
-    rng = rng_from_seed(seed)
-    u = rng.random() * sum(probs)
-    acc = 0.0
-    for (label, r), p in zip(residuals, probs):
-        acc += p
-        if u < acc and p > 0.0:
-            return label, _residual_state(r, p), p
-    for (label, r), p in reversed(list(zip(residuals, probs))):
-        if p > 0.0:
-            return label, _residual_state(r, p), p
-    raise ValueError("state has no support on the measurement outcomes")
-
-
-def _residual_state(raw: np.ndarray, prob: float) -> LogicalState:
-    return LogicalState(raw / math.sqrt(prob))
+    vectors = [vec for _, vec in projectors]
+    forced = None if force is None else labels.index(force)
+    index, residual, _p = project(state.amps, state.n, qubits, vectors, seed, forced)
+    return labels[index], LogicalState(residual)
 
 
 def bell_measure_ideal(
@@ -159,9 +131,7 @@ def bell_measure_ideal(
     force: BellLabel | None = None,
 ) -> tuple[BellLabel, LogicalState]:
     """Projective Bell measurement; returns the remaining qubits' state."""
-    projectors = [(label, vec) for label, vec in _BELL_VECTORS.items()]
-    label, residual, _ = _project_outcomes(state, qubits, projectors, seed, force)
-    return label, residual
+    return _project_outcomes(state, qubits, list(_BELL_VECTORS.items()), seed, force)
 
 
 def bell_measure_linear_optics(
@@ -176,16 +146,13 @@ def bell_measure_linear_optics(
     indistinguishable and collapses to a computational-basis readout,
     reported as a FailureRecord with bits (0,0) or (1,1).
     """
-    e00 = np.array([1, 0, 0, 0], dtype=complex)
-    e11 = np.array([0, 0, 0, 1], dtype=complex)
     projectors = [
         (BellLabel.PSI_PLUS, _BELL_VECTORS[BellLabel.PSI_PLUS]),
         (BellLabel.PSI_MINUS, _BELL_VECTORS[BellLabel.PSI_MINUS]),
-        (FailureRecord((0, 0)), e00),
-        (FailureRecord((1, 1)), e11),
+        (FailureRecord((0, 0)), np.array([1, 0, 0, 0], dtype=complex)),
+        (FailureRecord((1, 1)), np.array([0, 0, 0, 1], dtype=complex)),
     ]
-    label, residual, _ = _project_outcomes(state, qubits, projectors, seed, force)
-    return label, residual
+    return _project_outcomes(state, qubits, projectors, seed, force)
 
 
 def teleport_qubit(

@@ -7,6 +7,7 @@ import pytest
 from loqsim.cluster import (
     NODE_CAP,
     ClusterGraph,
+    ClusterState,
     MeasurementInstruction,
     PauliFrame,
     initial_cluster_state,
@@ -71,6 +72,20 @@ def test_node_cap():
     nodes = tuple(range(NODE_CAP + 1))
     with pytest.raises(ValueError):
         build_cluster(ClusterGraph(nodes, ()))
+
+
+def test_node_cap_refused_before_any_work(monkeypatch):
+    n = NODE_CAP + 1
+    chain = ClusterGraph(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)))
+
+    def no_growth(*_args):
+        raise AssertionError("a node was added before the cap check")
+
+    monkeypatch.setattr(ClusterState, "with_node", no_growth)
+    message = f"cluster has {n} nodes, cap is {NODE_CAP}"
+    for build in (build_cluster, initial_cluster_state):
+        with pytest.raises(ValueError, match=message):
+            build(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +239,13 @@ def test_single_added_node_measured_immediately():
     events = [("add", 0), ("add", 1), ("bond", 0, 1), ("measure", instr)]
     grown = grow_while_measuring(graph, events, 4)
     assert_matches_monolithic(grown, graph, [instr], 4, tol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_forced_outcome_outside_outcome_set_rejected(bad):
+    graph, schedule = linear_rotation_pattern(0.3, 0.2, 0.1)
+    with pytest.raises(ValueError, match="not one of 2 outcomes"):
+        run_pattern(graph, schedule, 0, force={0: bad})
 
 
 def test_measure_before_bond_rejected():

@@ -10,6 +10,7 @@ from loqsim.detection import (
     herald,
     herald_completeness,
     measure_all,
+    sample,
 )
 from loqsim.fock import PhotonicState, make_basis_state, superpose, tensor
 from loqsim.interferometer import apply, beamsplitter, compose
@@ -153,3 +154,59 @@ def test_measure_all_seed_reproducible():
 def test_measure_all_requires_normalized():
     with pytest.raises(ValueError):
         measure_all(make_basis_state([1]).scaled(0.5), 0)
+
+
+class _FixedDraw(np.random.Generator):
+    """A generator whose uniform draw is fixed, to reach rounding edges."""
+
+    def __init__(self, u: float):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, *args, **kwargs):
+        return self.u
+
+
+def test_sample_never_draws_a_zero_probability_outcome():
+    for probs in ([0.0, 1.0], [0.5, 0.0, 0.5], [0.3, 0.7, 0.0]):
+        for i in range(300):
+            k = sample(probs, derive_rng(17, i))
+            assert probs[k] > 0.0
+    # a draw of exactly 0 must skip leading zero-probability outcomes
+    assert sample([0.0, 0.0, 2.0, 1.0], _FixedDraw(0.0)) == 2
+
+
+def test_sample_at_or_past_the_total_returns_last_positive_outcome():
+    probs = [0.1] * 10 + [0.0, 0.0]
+    assert sample(probs, _FixedDraw(1.0)) == 9  # u equals the running total
+    assert sample(probs, _FixedDraw(1.5)) == 9  # u past it
+    assert sample([0.25, 0.0, 0.75, 0.0], _FixedDraw(1.0)) == 2
+
+
+def test_sample_refuses_all_zero_probabilities():
+    with pytest.raises(ValueError):
+        sample([0.0, 0.0, 0.0], 0)
+    with pytest.raises(ValueError):
+        sample([], 0)
+
+
+def test_sample_refuses_forced_outcomes_outside_the_set_or_impossible():
+    probs = [0.5, 0.5 - 1e-13, 1e-13]
+    assert sample(probs, 0, force=1) == 1
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match="not one of 3 outcomes"):
+            sample(probs, 0, force=bad)
+    with pytest.raises(ValueError, match="probability 0"):
+        sample(probs, 0, force=2)
+
+
+def test_sample_frequencies_within_five_sigma():
+    weights = [2.0, 3.0, 5.0]  # unnormalized on purpose
+    n = 40_000
+    rng = np.random.default_rng(2024)
+    counts = [0, 0, 0]
+    for _ in range(n):
+        counts[sample(weights, rng)] += 1
+    for count, w in zip(counts, weights):
+        p = w / sum(weights)
+        assert abs(count / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from loqsim.detection import DetectorModel
-from loqsim.encoding import LogicalState
+from loqsim.detection import DetectorModel, HeraldPattern, herald
+from loqsim.encoding import LogicalState, decode, encode
 from loqsim.fock import PhotonicState, make_basis_state, tensor
 from loqsim.heralded import (
     conditional_logical_map,
@@ -102,10 +102,29 @@ def test_logical_action_is_cnot(rng):
 
 
 def test_failure_branches_account_for_the_rest():
-    result = run_heralded(klm_cnot(), LogicalState.from_bits("10"))
+    gate = klm_cnot()
+    logical = LogicalState.from_bits("10")
+    result = run_heralded(gate, logical)
     failure_total = sum(p for _counts, p, _res in result.failure_branches)
     assert abs(failure_total - 15.0 / 16.0) < 1e-10
     assert abs(result.probability + failure_total - 1.0) < 1e-10
+
+    # every branch is exactly what heralding on its own pattern gives
+    full = tensor(
+        encode(logical, gate.logical_io), make_basis_state(gate.ancilla_occupations)
+    )
+    out = apply(gate.unitary(), full)
+    success = herald(out, gate.herald)
+    assert result.probability == success.probability
+    logical_out, _leak = decode(success.residual_state, gate.logical_io)
+    assert np.array_equal(result.logical_action.amps, logical_out.amps)
+    counts_seen = [counts for counts, _p, _res in result.failure_branches]
+    assert counts_seen == sorted(counts_seen)
+    assert tuple(c for _m, c in gate.herald.counts) not in counts_seen
+    for counts, p, residual in result.failure_branches:
+        record = herald(out, HeraldPattern(tuple(zip(gate.herald.modes, counts))))
+        assert p == record.probability
+        assert residual == record.residual_state
 
 
 def test_detector_efficiency_scaling():

@@ -1,0 +1,52 @@
+"""Monte Carlo reports pinned to values captured before the trials shared one loop.
+
+The oracle is a data file, independent of the trial loop: trial i of
+every run must keep drawing from its own stream derive_rng(seed, i), so
+sampled outcomes, success bits, attempts and pair counts stay exactly the
+same and floats agree to 1e-12.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from loqsim.cli import main
+
+DATA = Path(__file__).parent / "data"
+PINNED = json.loads((DATA / "pinned_reports.json").read_text())
+
+
+def assert_same(got, want, where="report"):
+    if isinstance(want, float):
+        assert isinstance(got, float), f"{where}: {got!r} is not a float"
+        assert abs(got - want) <= 1e-12, f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda c: " ".join(c["argv"]))
+def test_monte_carlo_report_is_pinned(case, capsys):
+    argv = [str(DATA / a) if a.endswith(".lqs") else a for a in case["argv"]]
+    assert main(argv) == 0
+    assert_same(json.loads(capsys.readouterr().out), case["report"])
+
+
+def test_pinned_set_covers_every_monte_carlo_mode():
+    modes = {tuple(c["report"]["columns"]) for c in PINNED}
+    assert modes == {
+        ("trial", "outcome"),
+        ("trial", "success"),
+        ("trial", "outcomes"),
+        ("trial", "attempts", "pairs", "overlap"),
+    }
