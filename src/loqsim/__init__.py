@@ -84,7 +84,6 @@ from .cluster import (
     MeasurementInstruction,
     PauliFrame,
     build_cluster,
-    grow_while_measuring,
     initial_cluster_state,
     linear_rotation_pattern,
     measure_node,

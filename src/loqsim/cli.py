@@ -82,12 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: Report, fmt: str, out: Path | None) -> None:
+def _emit(report: Report, fmt: str, out: Path | None) -> int:
     text = format_report(report, fmt)
     if out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         out.write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,8 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    _emit(report, fmt, args.out)
-    return 0
+    return _emit(report, fmt, args.out)
 
 
 if __name__ == "__main__":

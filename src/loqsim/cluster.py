@@ -1,10 +1,10 @@
 """Cluster-state (measurement-based) computation at the qubit level.
 
-A cluster is |+>-initialized nodes (overridable per node) with a CZ bond
-per edge.  Computation is a schedule of single-qubit measurements:
-equatorial measurements at angle a project onto (|0> +/- e^{-ia}|1>);
-outcome-dependent sign flips of later angles are declared per
-instruction, which is what makes the net rotation branch-independent.
+A cluster is |+>-initialized nodes with a CZ bond per edge.  Computation
+is a schedule of single-qubit measurements: equatorial measurements at
+angle a project onto (|0> +/- e^{-ia}|1>); outcome-dependent sign flips
+of later angles are declared per instruction, which is what makes the
+net rotation branch-independent.
 
 Byproduct bookkeeping (the exact rules, since they are convention):
 
@@ -24,10 +24,11 @@ to the smallest-id one; patterns with branching flow declare it.  After
 a full pattern the remaining frame is applied to the residual state, so
 the returned output is branch-independent for properly adapted patterns.
 
-`run_pattern` grows the cluster just in time: each node and bond is
-added right before the first measurement that needs it, so the dense
-state spans only the active (added, unmeasured) nodes.  A graph declares
-at most NODE_CAP nodes; the random stream is drawn once per measurement.
+`run_pattern` is the one run loop.  It grows the cluster just in time:
+each node and bond is added right before the first measurement that
+needs it, so the dense state spans only the active (added, unmeasured)
+nodes.  A graph declares at most NODE_CAP nodes; the random stream is
+drawn once per measurement.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .encoding import LogicalState
 NODE_CAP = 20
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_PLUS = (complex(_SQRT_HALF), complex(_SQRT_HALF))
+_PLUS = np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex)
 _Z_BASIS = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 
 
@@ -53,7 +54,6 @@ _Z_BASIS = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=comp
 class ClusterGraph:
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    init_states: tuple[tuple[int, tuple[complex, complex]], ...] = ()
 
     def __post_init__(self):
         nodes = tuple(sorted(set(int(n) for n in self.nodes)))
@@ -74,11 +74,6 @@ class ClusterGraph:
             seen.add(e)
             norm_edges.append(e)
         object.__setattr__(self, "edges", tuple(sorted(norm_edges)))
-        for n, amps in self.init_states:
-            if n not in node_set:
-                raise ValueError(f"init state for undeclared node {n}")
-            if abs(abs(amps[0]) ** 2 + abs(amps[1]) ** 2 - 1.0) > 1e-9:
-                raise ValueError(f"init state for node {n} is not normalized")
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         out = []
@@ -88,12 +83,6 @@ class ClusterGraph:
             elif b == node:
                 out.append(a)
         return tuple(sorted(out))
-
-    def init_of(self, node: int) -> tuple[complex, complex]:
-        for n, amps in self.init_states:
-            if n == node:
-                return amps
-        return _PLUS
 
 
 @dataclass(frozen=True)
@@ -188,8 +177,7 @@ class ClusterState:
             raise ValueError(f"node {node} is not declared in the graph")
         if len(self.nodes) + 1 > NODE_CAP:
             raise ValueError(f"simulator cap of {NODE_CAP} nodes exceeded")
-        init = np.array(self.graph.init_of(node), dtype=complex)
-        return ClusterState(self.graph, self.nodes + (node,), np.kron(self.amps, init))
+        return ClusterState(self.graph, self.nodes + (node,), np.kron(self.amps, _PLUS))
 
     def with_bond(self, a: int, b: int) -> "ClusterState":
         ia, ib = self.axis(a), self.axis(b)
@@ -333,20 +321,6 @@ def _basis_label(instr: MeasurementInstruction, eff: float) -> str:
     return f"xy:{eff:.12g}"
 
 
-def _finish(
-    state: ClusterState,
-    transcript: list[tuple[int, str, int]],
-    frame: PauliFrame,
-) -> PatternResult:
-    corrected = state
-    for node, (x, z) in frame.items():
-        corrected = corrected.with_pauli(node, x, z)
-    return PatternResult(corrected.sorted_logical(), tuple(transcript), frame)
-
-
-GrowEvent = tuple
-
-
 def run_pattern(
     graph: ClusterGraph,
     schedule: Sequence[MeasurementInstruction],
@@ -355,90 +329,51 @@ def run_pattern(
 ) -> PatternResult:
     """Run the schedule on a cluster grown just in time, then correct.
 
-    Each node and bond is added right before the first measurement that
-    needs it; the rest follow in declared order after the schedule.
-    `force` pins chosen nodes' outcomes (for exploring all branches);
-    unforced nodes sample from the Born rule with the given seed.
+    Before each measurement the node and its not yet bonded edges (in
+    declared order, with their missing endpoints) are added; the rest
+    follow in declared order after the schedule.  `force` pins chosen
+    nodes' outcomes (for exploring all branches); unforced nodes sample
+    from the Born rule with the given seed.
     """
     _check_node_cap(graph)
-    events: list[GrowEvent] = []
-    added: set[int] = set()
-    bonded: set[tuple[int, int]] = set()
-
-    def add(*nodes: int) -> None:
-        events.extend(("add", v) for v in nodes if v not in added)
-        added.update(nodes)
-
-    for instr in schedule:
-        add(instr.node)
-        for e in graph.edges:
-            if instr.node in e and e not in bonded:
-                add(*e)
-                events.append(("bond", *e))
-                bonded.add(e)
-        events.append(("measure", instr))
-    add(*graph.nodes)
-    events += [("bond", *e) for e in graph.edges if e not in bonded]
-    return grow_while_measuring(graph, events, seed, force)
-
-
-def grow_while_measuring(
-    graph: ClusterGraph,
-    events: Sequence[GrowEvent],
-    seed,
-    force: Mapping[int, int] | None = None,
-) -> PatternResult:
-    """Interleave node additions, bonding, and measurement.
-
-    Events: ("add", node), ("bond", a, b), ("measure", instruction).
-    Measuring a node whose declared bonds are not all applied yet is an
-    ordering error.  With the same seed and measurement order the result
-    matches running the schedule on the fully built cluster.
-    """
     rng = rng_from_seed(seed)
     state = ClusterState.empty(graph)
     frame = PauliFrame()
     outcomes: dict[int, int] = {}
     transcript: list[tuple[int, str, int]] = []
+    added: set[int] = set()
     bonded: set[tuple[int, int]] = set()
 
-    for event in events:
-        tag = event[0]
-        if tag == "add":
-            state = state.with_node(event[1])
-        elif tag == "bond":
-            a, b = event[1], event[2]
-            e = (min(a, b), max(a, b))
-            if e not in graph.edges:
-                raise ValueError(f"bond {e} is not a declared edge")
-            if e in bonded:
-                raise ValueError(f"bond {e} applied twice")
-            state = state.with_bond(a, b)
-            bonded.add(e)
-        elif tag == "measure":
-            instr: MeasurementInstruction = event[1]
-            pending = [e for e in graph.edges if instr.node in e and e not in bonded]
-            if pending:
-                raise ValueError(
-                    f"node {instr.node} measured before bond(s) {pending} applied"
-                )
-            forced = None if force is None else force.get(instr.node)
-            result = measure_node(state, instr, outcomes, frame, rng, forced)
-            state, frame = result.state, result.frame
-            outcomes[instr.node] = result.outcome
-            transcript.append(
-                (instr.node, _basis_label(instr, result.effective_angle), result.outcome)
-            )
-        else:
-            raise ValueError(f"unknown grow event {tag!r}")
+    def add(*nodes: int) -> None:
+        nonlocal state
+        for v in nodes:
+            if v not in added:
+                state = state.with_node(v)
+                added.add(v)
 
-    missing_nodes = set(graph.nodes) - set(state.nodes) - set(outcomes)
-    if missing_nodes:
-        raise ValueError(f"declared nodes never added: {sorted(missing_nodes)}")
-    missing_bonds = set(graph.edges) - bonded
-    if missing_bonds:
-        raise ValueError(f"declared edges never bonded: {sorted(missing_bonds)}")
-    return _finish(state, transcript, frame)
+    def bond(edges) -> None:
+        nonlocal state
+        for e in edges:
+            if e not in bonded:
+                add(*e)
+                state = state.with_bond(*e)
+                bonded.add(e)
+
+    for instr in schedule:
+        add(instr.node)
+        bond(e for e in graph.edges if instr.node in e)
+        forced = None if force is None else force.get(instr.node)
+        result = measure_node(state, instr, outcomes, frame, rng, forced)
+        state, frame = result.state, result.frame
+        outcomes[instr.node] = result.outcome
+        transcript.append(
+            (instr.node, _basis_label(instr, result.effective_angle), result.outcome)
+        )
+    add(*graph.nodes)
+    bond(graph.edges)
+    for node, (x, z) in frame.items():
+        state = state.with_pauli(node, x, z)
+    return PatternResult(state.sorted_logical(), tuple(transcript), frame)
 
 
 def transcript_json(transcript: Sequence[tuple[int, str, int]]) -> list:

@@ -78,18 +78,12 @@ class HeraldPattern:
     def modes(self) -> tuple[int, ...]:
         return tuple(m for m, _ in self.counts)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
 
 @dataclass(frozen=True)
 class DetectionRecord:
     outcome: tuple[tuple[int, int], ...]
     probability: float
     residual_state: PhotonicState
-
-    def outcome_dict(self) -> dict[int, int]:
-        return dict(self.outcome)
 
     def to_json_dict(self) -> dict:
         return {

@@ -30,7 +30,8 @@ finite.  An `input` whose photon-number sector holds more than
 `interferometer.SECTOR_CAP` amplitudes is refused, and so is a cluster
 edge listed twice.  A spec runs in exactly one mode: `sweep` and
 `trials` are mutually exclusive; with neither, it is a single
-deterministic run.
+deterministic run.  A `gate` brings its own herald, so a gate experiment
+that also declares `herald` is refused.
 """
 
 from __future__ import annotations
@@ -284,8 +285,7 @@ class _Parser:
         self.herald = (tuple(sorted(pairs)), line)
 
     def _dir_gate(self, toks, line):
-        if self.gate is not None:
-            raise SpecError("duplicate 'gate' directive", line, toks[0][1])
+        self._no_dup(self.gate, "gate", line, toks[0][1])
         _need(toks, 3, line, "gate")
         name = toks[1][0]
         if name != "klm_cnot":
@@ -307,8 +307,7 @@ class _Parser:
         self.gate = GateSpec("klm_cnot", roles["control"], roles["target"], line)
 
     def _dir_sweep(self, toks, line):
-        if self.sweep is not None:
-            raise SpecError("duplicate 'sweep' directive", line, toks[0][1])
+        self._no_dup(self.sweep, "sweep", line, toks[0][1])
         _need(toks, 7, line, "sweep")
         param = toks[1][0]
         if not SWEEP_PARAM.match(param):
@@ -330,8 +329,7 @@ class _Parser:
         self.sweep = SweepSpec(param, start, stop, steps, line)
 
     def _dir_trials(self, toks, line):
-        if self.trials is not None:
-            raise SpecError("duplicate 'trials' directive", line, toks[0][1])
+        self._no_dup(self.trials, "trials", line, toks[0][1])
         _need(toks, 3, line, "trials")
         n = _as_int(toks[1][0], line, toks[1][1], "trial count", minimum=1)
         if toks[2][0] != "seed":
@@ -461,6 +459,10 @@ class _Parser:
                 raise SpecError("cluster experiments do not sweep", self.sweep.line)
             self._validate_cluster()
         else:
+            if self.gate is not None and self.herald is not None:
+                raise SpecError(
+                    "a gate experiment cannot also declare 'herald'", self.herald[1]
+                )
             if modes is None and (self.input or self.elements or self.herald or self.gate):
                 ref = self.input[1] if self.input else (
                     self.elements[0].line if self.elements else (

@@ -172,18 +172,25 @@ def klm_cnot() -> HeraldedGate:
 # running gates
 # ---------------------------------------------------------------------------
 
+def _evolve(gate: HeraldedGate, *io_states: PhotonicState) -> list[PhotonicState]:
+    """Each I/O state joined with the gate's ancillas, through its network."""
+    for state in io_states:
+        if state.mode_count != gate.io_modes:
+            raise ValueError(
+                f"gate expects {gate.io_modes} I/O modes, state has {state.mode_count}"
+            )
+    u = gate.unitary()
+    anc = make_basis_state(gate.ancilla_occupations)
+    return [apply(u, tensor(state, anc)) for state in io_states]
+
+
 def run_photonic(
     gate: HeraldedGate,
     io_state: PhotonicState,
     detector: DetectorModel = IDEAL_DETECTOR,
 ) -> DetectionRecord:
     """Feed a photonic state into the gate's I/O modes and herald."""
-    if io_state.mode_count != gate.io_modes:
-        raise ValueError(
-            f"gate expects {gate.io_modes} I/O modes, state has {io_state.mode_count}"
-        )
-    full = tensor(io_state, make_basis_state(gate.ancilla_occupations))
-    out = apply(gate.unitary(), full)
+    (out,) = _evolve(gate, io_state)
     return herald(out, gate.herald, detector)
 
 
@@ -206,10 +213,7 @@ def run_heralded(
             f"gate acts on {gate.logical_io.qubit_count} qubits, "
             f"input has {logical_input.n}"
         )
-    encoded = encode(logical_input, gate.logical_io)
-    full = tensor(encoded, make_basis_state(gate.ancilla_occupations))
-    out = apply(gate.unitary(), full)
-
+    (out,) = _evolve(gate, encode(logical_input, gate.logical_io))
     branches = herald_branches(out, gate.herald.modes)
     success_counts = tuple(c for _, c in gate.herald.counts)
     p_herald, residual = branches.pop(success_counts, (0.0, None))
@@ -242,13 +246,12 @@ def conditional_logical_map(gate: HeraldedGate) -> np.ndarray:
         raise ValueError(f"gate {gate.name!r} has no logical qubit interface")
     n = gate.logical_io.qubit_count
     dim = 1 << n
-    u = gate.unitary()
-    anc = make_basis_state(gate.ancilla_occupations)
+    inputs = [
+        encode(LogicalState.from_bits(format(j, f"0{n}b")), gate.logical_io)
+        for j in range(dim)
+    ]
     m = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        basis = LogicalState.from_bits(format(j, f"0{n}b"))
-        full = tensor(encode(basis, gate.logical_io), anc)
-        out = apply(u, full)
+    for j, out in enumerate(_evolve(gate, *inputs)):
         record = herald(out, gate.herald, IDEAL_DETECTOR)
         if record.probability > 0.0:
             m[:, j] = logical_projection(

@@ -129,12 +129,6 @@ class ModeUnitary:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def __matmul__(self, other: "ModeUnitary") -> "ModeUnitary":
-        return ModeUnitary(self.matrix @ other.matrix)
-
-    def dagger(self) -> "ModeUnitary":
-        return ModeUnitary(self.matrix.conj().T)
-
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import loqsim.cluster as cluster
 from loqsim.cluster import (
     NODE_CAP,
     ClusterGraph,
@@ -12,7 +13,6 @@ from loqsim.cluster import (
     PauliFrame,
     initial_cluster_state,
     build_cluster,
-    grow_while_measuring,
     linear_rotation_pattern,
     measure_node,
     run_pattern,
@@ -100,8 +100,8 @@ def test_measure_plus_at_zero_is_deterministic():
 
 
 def test_measure_z_on_zero_state():
-    graph = ClusterGraph((0,), (), ((0, (1.0 + 0j, 0j)),))
-    state = initial_cluster_state(graph)
+    graph = ClusterGraph((0,), ())
+    state = ClusterState(graph, (0,), np.array([1.0, 0.0], dtype=complex))
     result = measure_node(
         state, MeasurementInstruction(0, basis="z"), {}, PauliFrame(), 0
     )
@@ -169,6 +169,28 @@ def test_empty_schedule_returns_cluster():
     assert result.transcript == ()
 
 
+def _prepared_run(graph, inputs, schedule, force):
+    """Measure `schedule` on a cluster whose listed nodes start in `inputs`.
+
+    Cluster nodes start in |+>; a pattern's logical input is an arbitrary
+    state on its input nodes, which this builds directly before bonding.
+    """
+    amps = np.ones(1, dtype=complex)
+    for node in graph.nodes:
+        amps = np.kron(amps, inputs.get(node, np.array([SQRT_HALF, SQRT_HALF])))
+    state = ClusterState(graph, graph.nodes, amps)
+    for a, b in graph.edges:
+        state = state.with_bond(a, b)
+    frame, outcomes = PauliFrame(), {}
+    for instr in schedule:
+        result = measure_node(state, instr, outcomes, frame, 0, force[instr.node])
+        state, frame = result.state, result.frame
+        outcomes[instr.node] = result.outcome
+    for node, (x, z) in frame.items():
+        state = state.with_pauli(node, x, z)
+    return state.sorted_logical()
+
+
 def test_horseshoe_cnot_pattern(rng):
     # nodes: 0 = control (stays), 1 = target in, 2 = middle, 3 = target out
     cnot = cnot_matrix()
@@ -186,16 +208,19 @@ def test_horseshoe_cnot_pattern(rng):
         MeasurementInstruction(1, 0.0, successor=2),
         MeasurementInstruction(2, 0.0, successor=3),
     ]
+    graph = ClusterGraph((0, 1, 2, 3), ((0, 2), (1, 2), (2, 3)))
     for c_amp, t_amp in cases:
-        graph = ClusterGraph(
-            (0, 1, 2, 3),
-            ((0, 2), (1, 2), (2, 3)),
-            ((0, c_amp), (1, t_amp)),
-        )
-        expected = LogicalState(cnot @ np.kron(np.array(c_amp), np.array(t_amp)))
+        c_amp, t_amp = np.array(c_amp), np.array(t_amp)
+        expected = LogicalState(cnot @ np.kron(c_amp, t_amp))
         for bits in itertools.product((0, 1), repeat=2):
-            result = run_pattern(graph, schedule, 0, force={1: bits[0], 2: bits[1]})
-            assert result.output.overlap(expected) > 1 - 1e-10
+            force = {1: bits[0], 2: bits[1]}
+            output = _prepared_run(graph, {0: c_amp, 1: t_amp}, schedule, force)
+            assert output.overlap(expected) > 1 - 1e-10
+    # run_pattern itself starts every node in |+>
+    expected = LogicalState(cnot @ np.full(4, 0.5, dtype=complex))
+    for bits in itertools.product((0, 1), repeat=2):
+        result = run_pattern(graph, schedule, 0, force={1: bits[0], 2: bits[1]})
+        assert result.output.overlap(expected) > 1 - 1e-10
 
 
 def test_outcome_statistics():
@@ -236,9 +261,55 @@ def test_grown_linear_cluster_matches_monolithic():
 def test_single_added_node_measured_immediately():
     graph = ClusterGraph((0, 1), ((0, 1),))
     instr = MeasurementInstruction(0, 0.3, successor=1)
-    events = [("add", 0), ("add", 1), ("bond", 0, 1), ("measure", instr)]
-    grown = grow_while_measuring(graph, events, 4)
+    grown = run_pattern(graph, [instr], 4)
     assert_matches_monolithic(grown, graph, [instr], 4, tol=1e-12)
+
+
+def _chain(n):
+    graph = ClusterGraph(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)))
+    schedule = [
+        MeasurementInstruction(i, 0.1 * i, adapt=tuple(range(i - 1, -1, -2)), successor=i + 1)
+        for i in range(n - 1)
+    ]
+    return graph, schedule
+
+
+def _grid(rows, cols):
+    """rows x cols grid, node (r, c) = c * rows + r, measured column by column."""
+    edges = []
+    for c in range(cols):
+        for r in range(rows):
+            node = c * rows + r
+            if r + 1 < rows:
+                edges.append((node, node + 1))
+            if c + 1 < cols:
+                edges.append((node, node + rows))
+    graph = ClusterGraph(tuple(range(rows * cols)), tuple(edges))
+    schedule = [
+        MeasurementInstruction(v, basis="z") if v % 4 == 3 else MeasurementInstruction(v, 0.2 * v)
+        for v in range(rows * (cols - 1))
+    ]
+    return graph, schedule
+
+
+@pytest.mark.parametrize(
+    "case, widest",
+    [(_chain(20), 2), (_grid(2, 10), 3), (_grid(4, 5), 5)],
+    ids=["chain20", "ladder2x10", "grid4x5"],
+)
+def test_run_pattern_grows_just_in_time(monkeypatch, case, widest):
+    # A full build would hold all 20 nodes at the first measurement.
+    graph, schedule = case
+    widths = []
+
+    def spy(state, *args):
+        widths.append(len(state.nodes))
+        return measure_node(state, *args)
+
+    monkeypatch.setattr(cluster, "measure_node", spy)
+    run_pattern(graph, schedule, 3)
+    assert len(widths) == len(schedule)
+    assert max(widths) <= widest
 
 
 @pytest.mark.parametrize("bad", [2, -1])
@@ -246,18 +317,6 @@ def test_forced_outcome_outside_outcome_set_rejected(bad):
     graph, schedule = linear_rotation_pattern(0.3, 0.2, 0.1)
     with pytest.raises(ValueError, match="not one of 2 outcomes"):
         run_pattern(graph, schedule, 0, force={0: bad})
-
-
-def test_measure_before_bond_rejected():
-    graph = ClusterGraph((0, 1), ((0, 1),))
-    events = [
-        ("add", 0),
-        ("add", 1),
-        ("measure", MeasurementInstruction(0, 0.0, successor=1)),
-        ("bond", 0, 1),
-    ]
-    with pytest.raises(ValueError):
-        grow_while_measuring(graph, events, 0)
 
 
 def _random_case(rng):

@@ -352,6 +352,22 @@ def test_cli_refusals_exit_2(tmp_path, capsys):
         assert where in err and "Traceback" not in err, err
 
 
+def test_herald_in_gate_experiment_refused(tmp_path, capsys):
+    from loqsim.cli import main
+
+    text = "modes 4\ninput 0 1 1 0\ngate klm_cnot control=q0 target=q1\nherald 0=1 1=0\n"
+    with pytest.raises(SpecError) as err:
+        parse(text)
+    assert err.value.message == "a gate experiment cannot also declare 'herald'"
+    assert err.value.line == 4
+    spec = tmp_path / "gate_herald.lqs"
+    spec.write_text(text)
+    assert main(["run", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 4, col 1: a gate experiment cannot also declare 'herald'" in captured.err
+
+
 def test_library_trials_below_one_refused():
     from loqsim.runner import teleport_cnot_report
 
@@ -379,6 +395,16 @@ def test_cli_out_file(tmp_path):
     out = tmp_path / "report.csv"
     assert main(["run", str(spec), "--out", str(out)]) == 0
     assert out.read_text().startswith("probability")
+
+
+def test_cli_unwritable_out_exits_1(tmp_path, capsys):
+    from loqsim.cli import main
+
+    for out in (tmp_path, tmp_path / "missing" / "r.json"):
+        assert main(["hom", "--steps", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: "), err
+        assert "Traceback" not in err
 
 
 def test_cli_subcommands(tmp_path, capsys):
