@@ -206,7 +206,7 @@ class ClusterState:
         order = np.argsort(self.nodes)
         t = self.amps.reshape([2] * len(self.nodes))
         t = np.transpose(t, order)
-        return LogicalState(t.reshape(-1))
+        return LogicalState._trusted(t.reshape(-1), len(self.nodes))
 
 
 def build_cluster(graph: ClusterGraph) -> LogicalState:

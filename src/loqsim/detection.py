@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -167,7 +167,7 @@ def herald(
 
     rest_modes = state.mode_count - len(modes)
     if probability <= PROB_TOL or best_group is None:
-        residual = PhotonicState(rest_modes, {})
+        residual = PhotonicState._trusted(rest_modes, {})
         probability = max(probability, 0.0)
     else:
         residual = _renormalized(rest_modes, best_group, best_weight)
@@ -184,7 +184,7 @@ def herald(
 
 def _renormalized(rest_modes: int, terms: dict, weight: float) -> PhotonicState:
     norm = math.sqrt(weight)
-    return PhotonicState(rest_modes, {occ: a / norm for occ, a in terms.items()})
+    return PhotonicState._trusted(rest_modes, {occ: a / norm for occ, a in terms.items()})
 
 
 def herald_branches(
@@ -196,43 +196,13 @@ def herald_branches(
     herald(state, pattern) with ideal detectors for that pattern.
     """
     rest_modes = state.mode_count - len(modes)
-    empty = PhotonicState(rest_modes, {})
+    empty = PhotonicState._trusted(rest_modes, {})
     out = {}
     for measured, terms in sorted(_split_groups(state, modes).items()):
         weight = sum(abs(a) ** 2 for a in terms.values())
         residual = _renormalized(rest_modes, terms, weight) if weight > PROB_TOL else empty
         out[measured] = (weight, residual)
     return out
-
-
-def herald_completeness(
-    state: PhotonicState, modes: Iterable[int], detector: DetectorModel = IDEAL_DETECTOR
-) -> dict[tuple[int, ...], float]:
-    """Probability of every count pattern on `modes` (diagnostic helper)."""
-    modes = tuple(sorted(set(int(m) for m in modes)))
-    out = {counts: p for counts, (p, _res) in herald_branches(state, modes).items()}
-    if detector.efficiency >= 1.0 and detector.number_resolving:
-        return out
-    # fold loss: redistribute each true pattern over observable ones
-    folded: dict[tuple[int, ...], float] = {}
-    for true_counts, weight in out.items():
-        _fold(true_counts, weight, detector, (), folded)
-    return folded
-
-
-def _fold(true_counts, weight, d, prefix, acc):
-    if not true_counts:
-        acc[prefix] = acc.get(prefix, 0.0) + weight
-        return
-    n = true_counts[0]
-    if d.number_resolving:
-        observable = range(n + 1)
-    else:
-        observable = (0, 1) if n else (0,)
-    for k in observable:
-        p = _detect_prob(k, n, d)
-        if p > 0.0:
-            _fold(true_counts[1:], weight * p, d, prefix + (k,), acc)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,12 @@ parse -> serialize -> parse round trip reproduces the spec exactly).
 
 Every parse failure is a located SpecError diagnostic (line and column),
 never a crash.  Counts and indices are integers >= 0; numbers are
-finite.  An `input` whose photon-number sector holds more than
-`interferometer.SECTOR_CAP` amplitudes is refused, and so is a cluster
-edge listed twice.  A spec runs in exactly one mode: `sweep` and
-`trials` are mutually exclusive; with neither, it is a single
-deterministic run.  A `gate` brings its own herald, so a gate experiment
-that also declares `herald` is refused.
+finite.  An `input` whose sector `interferometer.check_sector_size`
+refuses is refused at its token, and so is a cluster edge listed twice.
+A spec runs in exactly one mode: `sweep` and `trials` are mutually
+exclusive; with neither, it is a single deterministic run.  A `gate`
+brings its own herald, so a gate experiment that also declares `herald`
+is refused.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .interferometer import SECTOR_CAP, sector_size
+from .interferometer import check_sector_size
 
 _TOKEN = re.compile(r"\S+")
 
@@ -215,15 +215,10 @@ class _Parser:
         occ = []
         for tok, col in toks[1:]:
             occ.append(_as_int(tok, line, col, "occupation"))
-        photons = sum(occ)
-        size = sector_size(photons, len(occ))
-        if size > SECTOR_CAP:
-            raise SpecError(
-                f"input of {photons} photons over {len(occ)} modes spans "
-                f"{size} amplitudes, cap is {SECTOR_CAP}",
-                line,
-                toks[0][1],
-            )
+        try:
+            check_sector_size(sum(occ), len(occ))
+        except ValueError as exc:
+            raise SpecError(str(exc), line, toks[0][1]) from None
         self.input = (tuple(occ), line)
 
     def _element(self, kind, params, line, col):

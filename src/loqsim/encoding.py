@@ -10,6 +10,12 @@ plate.
 Bloch conventions: z = +1 for |0>, x points toward (|0>+|1>)/sqrt(2),
 y toward (|0>+i|1>)/sqrt(2).  All logical comparisons are modulo global
 phase via the |<a|b>| = 1 criterion.
+
+Input is validated at the boundary: `LogicalState(amps)`, `qubit` and
+`from_json_dict` refuse a count that is not a power of two and a norm off
+1 by more than 1e-6.  States the engine derives from valid ones are built
+by `LogicalState._trusted`, which skips those checks but still divides by
+the norm.
 """
 
 from __future__ import annotations
@@ -40,19 +46,30 @@ class LogicalState:
         self.amps = a / norm
         self.n = n
 
+    @classmethod
+    def _trusted(cls, amps: np.ndarray, n: int) -> "LogicalState":
+        """Constructor for engine outputs: a flat complex array of 2**n
+        amplitudes with norm 1 up to rounding."""
+        state = cls.__new__(cls)
+        state.amps = amps / np.linalg.norm(amps)
+        state.n = n
+        return state
+
     @staticmethod
     def from_bits(bits: str) -> "LogicalState":
         n = len(bits)
         amps = np.zeros(1 << n, dtype=complex)
         amps[int(bits, 2) if bits else 0] = 1.0
-        return LogicalState(amps)
+        return LogicalState._trusted(amps, n)
 
     @staticmethod
     def qubit(alpha: complex, beta: complex) -> "LogicalState":
         return LogicalState([alpha, beta])
 
     def tensor(self, other: "LogicalState") -> "LogicalState":
-        return LogicalState(np.kron(self.amps, other.amps))
+        # np.kron's own product of two vectors, without its shape handling
+        amps = np.multiply(self.amps[:, None], other.amps[None, :]).reshape(-1)
+        return LogicalState._trusted(amps, self.n + other.n)
 
     def apply(self, matrix: np.ndarray, qubits: Sequence[int]) -> "LogicalState":
         """Apply a k-qubit unitary to the listed qubits."""
@@ -63,7 +80,7 @@ class LogicalState:
         t = np.tensordot(m, t, axes=(list(range(k, 2 * k)), axes))
         # tensordot put the acted-on axes first; move them back
         t = np.moveaxis(t, list(range(k)), axes)
-        return LogicalState(t.reshape(-1))
+        return LogicalState._trusted(t.reshape(-1), self.n)
 
     def overlap(self, other: "LogicalState") -> float:
         """|<self|other>|, the global-phase-invariant agreement."""
@@ -136,7 +153,7 @@ def encode(state: LogicalState, enc: QubitEncoding) -> PhotonicState:
             bit = (index >> (state.n - 1 - q)) & 1
             occ[m1 if bit else m0] += 1
         terms[tuple(occ)] = complex(amp)
-    return PhotonicState(enc.total_modes, terms)
+    return PhotonicState._trusted(enc.total_modes, terms)
 
 
 def logical_projection(state: PhotonicState, enc: QubitEncoding) -> np.ndarray:
@@ -181,7 +198,8 @@ def decode(state: PhotonicState, enc: QubitEncoding) -> DecodeResult:
     leakage = 1.0 - inside / total
     if inside / total < 1e-12:
         return DecodeResult(None, 1.0)
-    return DecodeResult(LogicalState(amps / math.sqrt(inside)), leakage)
+    logical = LogicalState._trusted(amps / math.sqrt(inside), enc.qubit_count)
+    return DecodeResult(logical, leakage)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +350,7 @@ def pbs_convert(
             new_occ[4 * k] = occ[2 * k]
             new_occ[4 * k + 1] = occ[2 * k + 1]
         lifted[tuple(new_occ)] = amp
-    lifted_state = PhotonicState(new_modes, lifted)
+    lifted_state = PhotonicState._trusted(new_modes, lifted)
 
     elements = []
     for k in range(n):

@@ -14,6 +14,11 @@ Conventions:
 
 Post-selected states are allowed to carry norm < 1; the squared norm of
 such a state is the probability of the herald that produced it.
+
+Input is validated at the boundary: the constructor, `make_basis_state`
+and `from_json` check every occupation (non-negative, one entry per mode).
+States the engine derives from valid ones are built by `_trusted`, the
+same core (complex amplitudes, pruning) without those checks.
 """
 
 from __future__ import annotations
@@ -27,11 +32,18 @@ PRUNE_THRESHOLD = 1e-12
 Occupation = tuple[int, ...]
 
 
-def _check_occupation(occ: Iterable[int]) -> Occupation:
+def _check_occupation(occ: Iterable[int], mode_count: int) -> Occupation:
     occ = tuple(int(n) for n in occ)
     if any(n < 0 for n in occ):
         raise ValueError(f"occupation numbers must be >= 0, got {occ}")
+    if len(occ) != mode_count:
+        raise ValueError(f"occupation {occ} has {len(occ)} modes, expected {mode_count}")
     return occ
+
+
+def _pruned(terms: Mapping[Occupation, complex]) -> dict[Occupation, complex]:
+    """Terms as complex amplitudes, those at or below PRUNE_THRESHOLD dropped."""
+    return {occ: c for occ, a in terms.items() if abs(c := complex(a)) > PRUNE_THRESHOLD}
 
 
 class PhotonicState:
@@ -43,17 +55,20 @@ class PhotonicState:
         if mode_count < 0:
             raise ValueError("mode_count must be >= 0")
         self._mode_count = int(mode_count)
-        pruned: dict[Occupation, complex] = {}
-        for occ, amp in terms.items():
-            occ = _check_occupation(occ)
-            if len(occ) != self._mode_count:
-                raise ValueError(
-                    f"occupation {occ} has {len(occ)} modes, expected {mode_count}"
-                )
-            amp = complex(amp)
-            if abs(amp) > PRUNE_THRESHOLD:
-                pruned[occ] = amp
-        self._terms = pruned
+        self._terms = _pruned(
+            {_check_occupation(o, self._mode_count): a for o, a in terms.items()}
+        )
+
+    @classmethod
+    def _trusted(
+        cls, mode_count: int, terms: Mapping[Occupation, complex]
+    ) -> "PhotonicState":
+        """Constructor for engine outputs: every key is already a tuple of
+        `mode_count` non-negative ints."""
+        state = cls.__new__(cls)
+        state._mode_count = mode_count
+        state._terms = _pruned(terms)
+        return state
 
     @property
     def mode_count(self) -> int:
@@ -84,7 +99,7 @@ class PhotonicState:
         return not self._terms
 
     def scaled(self, factor: complex) -> "PhotonicState":
-        return PhotonicState(
+        return PhotonicState._trusted(
             self._mode_count, {o: a * factor for o, a in self._terms.items()}
         )
 
@@ -131,7 +146,7 @@ class PhotonicState:
 
 def make_basis_state(occupations: Iterable[int]) -> PhotonicState:
     """Single Fock basis state |n0, n1, ...> with amplitude 1."""
-    occ = _check_occupation(occupations)
+    occ = tuple(occupations)
     return PhotonicState(len(occ), {occ: 1.0 + 0j})
 
 
@@ -152,7 +167,7 @@ def superpose(
         out[occ] = out.get(occ, 0j) + ca * amp
     for occ, amp in b._terms.items():
         out[occ] = out.get(occ, 0j) + cb * amp
-    return PhotonicState(a.mode_count, out)
+    return PhotonicState._trusted(a.mode_count, out)
 
 
 def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
@@ -180,7 +195,7 @@ def tensor(a: PhotonicState, b: PhotonicState) -> PhotonicState:
     for occ_a, amp_a in a._terms.items():
         for occ_b, amp_b in b._terms.items():
             out[occ_a + occ_b] = amp_a * amp_b
-    return PhotonicState(a.mode_count + b.mode_count, out)
+    return PhotonicState._trusted(a.mode_count + b.mode_count, out)
 
 
 def total_photon_number(s: PhotonicState) -> int | None:

@@ -28,8 +28,9 @@ sum_j U[j, i] a_j^dagger of the input photons one at a time from the
 vacuum, each step one vectorized pass per mode over index tables cached
 per (photons, modes).  Output occupations are listed in lexicographic
 order, so evolution is deterministic and exactly number-conserving.
-`permanent` stays for single amplitudes.  Sectors over SECTOR_CAP
-amplitudes are refused up front.
+`permanent` stays for single amplitudes.  `check_sector_size` refuses a
+sector up front when its amplitudes exceed SECTOR_CAP or its occupation
+keys (amplitudes x modes entries) exceed KEY_CAP.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .fock import Occupation, PhotonicState
 
 UNITARITY_TOL = 1e-10
 SECTOR_CAP = 200_000  # amplitudes in one photon-number sector
+KEY_CAP = 20 * SECTOR_CAP  # entries over all occupation keys of one sector
 # Relative norm drift of an evolved sector taken as lost precision: far
 # above rounding (~1e-14 at desk scale), below what tens of photons
 # bunched in one mode reach (rounding errors grow up to sqrt(n!/prod S_i!)).
@@ -164,6 +166,11 @@ def _two_mode_block(kind: str, value: float) -> np.ndarray:
 
 def element_unitary(element: OpticalElement, total_modes: int) -> ModeUnitary:
     """Embed one element into the identity on `total_modes` modes."""
+    return ModeUnitary(_element_matrix(element, total_modes))
+
+
+def _element_matrix(element: OpticalElement, total_modes: int) -> np.ndarray:
+    """Unchecked matrix of one element: unitary by construction."""
     if any(m >= total_modes for m in element.modes):
         raise ValueError(
             f"element touches mode {max(element.modes)} but only "
@@ -182,14 +189,15 @@ def element_unitary(element: OpticalElement, total_modes: int) -> ModeUnitary:
         a, b = element.modes
         u[a, a], u[a, b] = block[0, 0], block[0, 1]
         u[b, a], u[b, b] = block[1, 0], block[1, 1]
-    return ModeUnitary(u)
+    return u
 
 
 def compose(elements: Sequence[OpticalElement], total_modes: int) -> ModeUnitary:
-    """Product unitary of an element list, leftmost element applied first."""
+    """Product unitary of an element list, leftmost element applied first;
+    only the product is validated."""
     u = np.eye(total_modes, dtype=complex)
     for e in elements:
-        u = element_unitary(e, total_modes).matrix @ u
+        u = _element_matrix(e, total_modes) @ u
     return ModeUnitary(u)
 
 
@@ -299,6 +307,18 @@ def sector_size(photons: int, modes: int) -> int:
     return math.comb(photons + modes - 1, photons) if modes else int(photons == 0)
 
 
+def check_sector_size(photons: int, modes: int) -> None:
+    """ValueError for a sector over SECTOR_CAP amplitudes or KEY_CAP key
+    entries (one occupation tuple of `modes` entries per amplitude)."""
+    size = sector_size(photons, modes)
+    for count, what, cap in ((size, "amplitudes", SECTOR_CAP),
+                             (size * modes, "key entries", KEY_CAP)):
+        if count > cap:
+            raise ValueError(
+                f"{photons} photons over {modes} modes make {count} {what}, cap is {cap}"
+            )
+
+
 def _occupations(photons: int, modes: int) -> np.ndarray:
     """occ[j, t] = T_j for the t-th occupation T of a sector, modes >= 1.
 
@@ -374,7 +394,7 @@ def apply(u: ModeUnitary, state: PhotonicState) -> PhotonicState:
     1/sqrt(prod_i S_i!), so every intermediate vector keeps the input
     amplitude's norm.  Each photon-number sector evolves independently;
     the total photon number of every term is preserved exactly.  A sector
-    larger than SECTOR_CAP amplitudes is refused before any work, and one
+    that `check_sector_size` refuses is refused before any work, and one
     whose norm drifts by more than PRECISION_TOL after it.
     """
     if u.dim != state.mode_count:
@@ -386,11 +406,7 @@ def apply(u: ModeUnitary, state: PhotonicState) -> PhotonicState:
     for occ, amp in state.terms.items():
         sectors.setdefault(sum(occ), []).append((occ, amp))
     for n in sectors:
-        if sector_size(n, m) > SECTOR_CAP:
-            raise ValueError(
-                f"{n} photons over {m} modes is a sector of {sector_size(n, m)} "
-                f"amplitudes, cap is {SECTOR_CAP}"
-            )
+        check_sector_size(n, m)
 
     out: dict[Occupation, complex] = {}
     for n, terms in sorted(sectors.items()):
@@ -417,7 +433,7 @@ def apply(u: ModeUnitary, state: PhotonicState) -> PhotonicState:
                 f"(sector norm^2 {norm2:.6g}, expected {weight:.6g})"
             )
         out.update(zip(_sector_keys(n, m), total.tolist()))
-    return PhotonicState(m, out)
+    return PhotonicState._trusted(m, out)
 
 
 # ---------------------------------------------------------------------------

@@ -434,7 +434,7 @@ def teleport_cnot_report(trials: int, seed: int) -> Report:
 
 def _random_qubit(rng) -> LogicalState:
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return LogicalState(v / np.linalg.norm(v))
+    return LogicalState._trusted(v / np.linalg.norm(v), 1)
 
 
 def cluster_demo_report(

@@ -101,7 +101,7 @@ class ResourceTally:
 
 def bell_pair() -> LogicalState:
     """(|00> + |11>) / sqrt(2)."""
-    return LogicalState(_BELL_VECTORS[BellLabel.PHI_PLUS])
+    return LogicalState._trusted(_BELL_VECTORS[BellLabel.PHI_PLUS], 2)
 
 
 def _project_outcomes(
@@ -121,7 +121,7 @@ def _project_outcomes(
     vectors = [vec for _, vec in projectors]
     forced = None if force is None else labels.index(force)
     index, residual, _p = project(state.amps, state.n, qubits, vectors, seed, forced)
-    return labels[index], LogicalState(residual)
+    return labels[index], LogicalState._trusted(residual, state.n - 2)
 
 
 def bell_measure_ideal(

@@ -8,12 +8,12 @@ from loqsim.detection import (
     HeraldPattern,
     derive_rng,
     herald,
-    herald_completeness,
+    herald_branches,
     measure_all,
     sample,
 )
 from loqsim.fock import PhotonicState, make_basis_state, superpose, tensor
-from loqsim.interferometer import apply, beamsplitter, compose
+from loqsim.interferometer import apply, beamsplitter, compose, compositions
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -48,19 +48,37 @@ def test_herald_probability_is_presquared_norm():
     assert abs(record.residual_state.norm() - 1.0) < 1e-12
 
 
-def test_completeness(rng):
-    from loqsim.interferometer import compositions
-
+def _random_three_photon_state(rng) -> PhotonicState:
     terms = {occ: complex(rng.normal(), rng.normal()) for occ in compositions(3, 3)}
-    state = PhotonicState(3, terms).normalized()
+    return PhotonicState(3, terms).normalized()
+
+
+def test_completeness(rng):
+    state = _random_three_photon_state(rng)
     total = 0.0
     for c0 in range(4):
         for c1 in range(4):
             pattern = HeraldPattern(((0, c0), (1, c1)))
             total += herald(state, pattern).probability
     assert abs(total - 1.0) < 1e-10
-    folded = herald_completeness(state, (0, 1))
-    assert abs(sum(folded.values()) - 1.0) < 1e-10
+    branches = herald_branches(state, (0, 1))
+    assert abs(sum(p for p, _residual in branches.values()) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("number_resolving", [True, False])
+@pytest.mark.parametrize("eta", [0.3, 0.8])
+def test_lossy_completeness(rng, eta, number_resolving):
+    # every observable pattern on modes (0, 1): 0..3 counts per mode when
+    # resolving numbers, click or no click per mode otherwise
+    state = _random_three_photon_state(rng)
+    detector = DetectorModel(efficiency=eta, number_resolving=number_resolving)
+    observable = range(4) if number_resolving else range(2)
+    total = sum(
+        herald(state, HeraldPattern(((0, c0), (1, c1))), detector).probability
+        for c0 in observable
+        for c1 in observable
+    )
+    assert abs(total - 1.0) < 1e-10
 
 
 def test_eta_monotonicity():

@@ -198,6 +198,19 @@ def test_sector_over_cap_rejected_at_parse():
         parse(f"modes {modes}\ninput {' '.join(['1'] * 6 + ['0'] * (modes - 6))}\n")
 
 
+def test_sector_keys_over_cap_rejected_at_parse():
+    # 2 photons over 600 modes: few amplitudes, but 600 entries per key
+    occ = [1, 1] + [0] * 598
+    text = f"modes 600\ninput {' '.join(map(str, occ))}\n"
+    t0 = time.perf_counter()
+    with pytest.raises(SpecError) as err:
+        parse(text)
+    assert time.perf_counter() - t0 < 1.0
+    assert (err.value.line, err.value.col) == (2, 1)
+    assert "key entries" in err.value.message
+    parse(f"modes 150\ninput 1 1 {' '.join(['0'] * 148)}\n")
+
+
 def test_golden_corpus_round_trips():
     files = sorted(DATA.glob("*.lqs"))
     assert len(files) >= 10

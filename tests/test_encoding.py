@@ -205,6 +205,15 @@ def test_pbs_convert_needs_polarization():
 # serialization
 # ---------------------------------------------------------------------------
 
+def test_logical_state_refuses_bad_input():
+    with pytest.raises(ValueError, match="power of two"):
+        LogicalState([1, 0, 0])
+    with pytest.raises(ValueError, match="normalized"):
+        LogicalState([1, 1])
+    with pytest.raises(ValueError, match="normalized"):
+        LogicalState.from_json_dict({"n": 1, "amps": [[1.0, 0.0], [1.0, 0.0]]})
+
+
 def test_logical_json_round_trip(rng):
     state = LogicalState(random_logical_amps(rng, 2))
     data = state.to_json_dict()

@@ -35,6 +35,48 @@ def test_negative_occupation_rejected():
         make_basis_state([1, -1])
 
 
+def test_public_constructors_refuse_bad_input():
+    with pytest.raises(ValueError, match=">= 0"):
+        PhotonicState(2, {(1, -1): 1.0})
+    with pytest.raises(ValueError, match="3 modes, expected 2"):
+        PhotonicState(2, {(1, 0, 0): 1.0})
+    with pytest.raises(ValueError, match="mode_count"):
+        PhotonicState(-1, {})
+    text = make_basis_state([1, 0]).to_json()
+    assert '"occ": [1, 0]' in text
+    with pytest.raises(ValueError, match=">= 0"):
+        PhotonicState.from_json(text.replace('"occ": [1, 0]', '"occ": [1, -1]'))
+
+
+def test_engine_outputs_skip_the_occupation_check(monkeypatch, rng):
+    from loqsim import fock
+    from loqsim.detection import HeraldPattern, herald
+    from loqsim.interferometer import ModeUnitary, apply, sector_size
+
+    from conftest import random_unitary
+
+    u = ModeUnitary(random_unitary(rng, 12))
+    state = make_basis_state([1] * 6 + [0] * 6)
+    checked = []
+    real_check = fock._check_occupation
+
+    def spy(occ, mode_count):
+        checked.append(occ)
+        return real_check(occ, mode_count)
+
+    monkeypatch.setattr(fock, "_check_occupation", spy)
+    out = apply(u, state)
+    record = herald(out, HeraldPattern.from_dict({0: 1, 1: 0}))
+    assert out.term_count() == sector_size(6, 12)
+    assert 0.0 < record.probability < 1.0
+    assert abs(record.residual_state.norm() - 1.0) < 1e-12
+    assert checked == []
+    # data from outside still goes through the check
+    with pytest.raises(ValueError):
+        PhotonicState(2, {(1, -1): 1.0})
+    assert checked == [(1, -1)]
+
+
 def test_superpose_diagonal_state():
     # |D> = (|0> + |1>) with the normalized-amplitude convention
     d = superpose(make_basis_state([1, 0]), SQRT_HALF, make_basis_state([0, 1]), SQRT_HALF)

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from loqsim.fock import PhotonicState, make_basis_state, superpose, total_photon_number
 from loqsim.interferometer import (
+    KEY_CAP,
     SECTOR_CAP,
     ModeUnitary,
     _raising_tables,
     _sector_keys,
     apply,
     beamsplitter,
+    check_sector_size,
     compose,
     compositions,
     element_unitary,
@@ -112,8 +114,12 @@ def test_compose_two_pi_phases():
 
 
 def test_non_unitary_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unitary"):
         ModeUnitary(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    data = ModeUnitary(np.eye(2)).to_json_dict()
+    data["matrix"][1][0] = [1.0, 0.0]
+    with pytest.raises(ValueError, match="not unitary"):
+        ModeUnitary.from_json_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +338,24 @@ def test_apply_refuses_oversized_sector():
     with pytest.raises(ValueError, match="cap is 200000"):
         apply(ModeUnitary(np.eye(40)), make_basis_state([1] * 10 + [0] * 30))
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_apply_refuses_oversized_keys(monkeypatch):
+    # 2 photons over 600 modes: 180 300 amplitudes fit SECTOR_CAP, but the
+    # keys would hold 108 180 000 entries
+    assert sector_size(2, 600) <= SECTOR_CAP < sector_size(2, 600) * 600
+    for photons, modes in ((6, 20), (6, 16), (2, 150)):
+        assert sector_size(photons, modes) * modes <= KEY_CAP
+        check_sector_size(photons, modes)
+    u = ModeUnitary(np.eye(600))
+    state = make_basis_state([1, 1] + [0] * 598)
+
+    def no_work(*args):
+        raise AssertionError("apply started evolving an oversized sector")
+
+    monkeypatch.setattr("loqsim.interferometer._raising_tables", no_work)
+    with pytest.raises(ValueError, match=f"key entries, cap is {KEY_CAP}"):
+        apply(u, state)
 
 
 def test_apply_refuses_lost_precision(tmp_path, capsys):

@@ -1,9 +1,12 @@
-"""Monte Carlo reports pinned to values captured before the trials shared one loop.
+"""Reports pinned to values captured from earlier trees.
 
-The oracle is a data file, independent of the trial loop: trial i of
-every run must keep drawing from its own stream derive_rng(seed, i), so
-sampled outcomes, success bits, attempts and pair counts stay exactly the
-same and floats agree to 1e-12.
+The oracle is a data file, independent of the code that produces the
+reports.  The Monte Carlo reports were captured before the trials shared
+one loop: trial i of every run must keep drawing from its own stream
+derive_rng(seed, i), so sampled outcomes, success bits, attempts and pair
+counts stay exactly the same.  The single-run and sweep reports of the
+shipped specs, `hom` and `cnot-herald` were captured before engine
+outputs stopped being re-validated.  Floats agree to 1e-12.
 """
 
 from __future__ import annotations
@@ -35,15 +38,28 @@ def assert_same(got, want, where="report"):
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
-@pytest.mark.parametrize("case", PINNED, ids=lambda c: " ".join(c["argv"]))
-def test_monte_carlo_report_is_pinned(case, capsys):
+MONTE_CARLO = [c for c in PINNED if c["report"]["mode"] == "monte-carlo"]
+SINGLE_AND_SWEEP = [c for c in PINNED if c["report"]["mode"] != "monte-carlo"]
+
+
+def _check_pinned(case, capsys):
     argv = [str(DATA / a) if a.endswith(".lqs") else a for a in case["argv"]]
     assert main(argv) == 0
     assert_same(json.loads(capsys.readouterr().out), case["report"])
 
 
+@pytest.mark.parametrize("case", MONTE_CARLO, ids=lambda c: " ".join(c["argv"]))
+def test_monte_carlo_report_is_pinned(case, capsys):
+    _check_pinned(case, capsys)
+
+
+@pytest.mark.parametrize("case", SINGLE_AND_SWEEP, ids=lambda c: " ".join(c["argv"]))
+def test_single_and_sweep_report_is_pinned(case, capsys):
+    _check_pinned(case, capsys)
+
+
 def test_pinned_set_covers_every_monte_carlo_mode():
-    modes = {tuple(c["report"]["columns"]) for c in PINNED}
+    modes = {tuple(c["report"]["columns"]) for c in MONTE_CARLO}
     assert modes == {
         ("trial", "outcome"),
         ("trial", "success"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loqsim.detection import derive_rng, measure_all
-from loqsim.encoding import LogicalState, QubitEncoding, encode, marginal_bloch
+from loqsim.encoding import LogicalState, QubitEncoding, decode, encode, marginal_bloch
 from loqsim.interferometer import apply, beamsplitter, compose
 from loqsim.teleport import (
     BellLabel,
@@ -271,6 +271,30 @@ def test_correction_commutation(rng):
         ):
             out, _ = teleported_cnot(c, t, 0, force_attempts=1, force_bells=bells)
             assert out.overlap(expected) > 1 - 1e-10
+
+
+def test_engine_outputs_skip_the_logical_checks(monkeypatch, rng):
+    control = LogicalState(random_logical_amps(rng, 1))
+    target = LogicalState(random_logical_amps(rng, 1))
+    expected = LogicalState(cnot_matrix() @ control.tensor(target).amps)
+    enc = QubitEncoding.dual_rail(2)
+    photonic = encode(control.tensor(target), enc)
+    checked = []
+    real_init = LogicalState.__init__
+
+    def spy(self, amps):
+        checked.append(amps)
+        real_init(self, amps)
+
+    monkeypatch.setattr(LogicalState, "__init__", spy)
+    out, _ = teleported_cnot(control, target, 7)
+    assert out.overlap(expected) > 1 - 1e-10
+    decoded = decode(photonic, enc)
+    assert decoded.logical.overlap(control.tensor(target)) > 1 - 1e-12
+    assert checked == []
+    with pytest.raises(ValueError, match="normalized"):
+        LogicalState([1, 1])
+    assert len(checked) == 1
 
 
 def test_attempts_are_geometric():
