@@ -7,12 +7,14 @@
     loqsim cluster-demo [--alpha A] [--beta B] [--gamma G] ...
 
 Exit codes: 0 on success, 2 on experiment-description errors (and on
---trials < 1, --seed < 0 or --steps < 2), 1 on runtime errors.
+--trials < 1, --seed < 0, --steps < 2, a non-finite cluster-demo angle or
+--trials on a sweep spec), 1 on runtime errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -29,17 +31,25 @@ from .runner import (
 )
 
 
-def _int_at_least(minimum: int):
-    """argparse type for an integer >= minimum; argparse exits 2 otherwise."""
+def _checked(kind, ok, rule: str):
+    """argparse type for a `kind` value that passes `ok`; argparse exits 2
+    otherwise, as for text `kind` cannot read."""
 
-    def convert(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
         return value
 
-    convert.__name__ = "int"  # argparse names the type in "invalid int value"
+    convert.__name__ = kind.__name__  # argparse names the type in "invalid int value"
     return convert
+
+
+def _int_at_least(minimum: int):
+    return _checked(int, lambda value: value >= minimum, f">= {minimum}")
+
+
+_finite_float = _checked(float, math.isfinite, "finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_tc)
 
     p_cd = sub.add_parser("cluster-demo", help="5-node linear-cluster rotation")
-    p_cd.add_argument("--alpha", type=float, default=50.0, help="degrees")
-    p_cd.add_argument("--beta", type=float, default=-35.0, help="degrees")
-    p_cd.add_argument("--gamma", type=float, default=20.0, help="degrees")
+    p_cd.add_argument("--alpha", type=_finite_float, default=50.0, help="degrees")
+    p_cd.add_argument("--beta", type=_finite_float, default=-35.0, help="degrees")
+    p_cd.add_argument("--gamma", type=_finite_float, default=20.0, help="degrees")
     common(p_cd)
 
     return parser

@@ -29,6 +29,12 @@ each node and bond is added right before the first measurement that
 needs it, so the dense state spans only the active (added, unmeasured)
 nodes.  A graph declares at most NODE_CAP nodes; the random stream is
 drawn once per measurement.
+
+The dense state runs on the qubit kernels of `encoding`: `with_node`
+grows it with `outer`, `with_bond` (CZ) and `with_pauli` (X flips the
+node's axis, Z negates its 1 slice) use `flip_sign`, `sorted_logical`
+reorders with `axes_first`, and `measure_node` goes through
+`detection.project`, which reorders with `axes_first` too.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .detection import project, rng_from_seed
-from .encoding import LogicalState
+from .encoding import LogicalState, axes_first, flip_sign, outer
 
 NODE_CAP = 20
 
@@ -177,36 +183,22 @@ class ClusterState:
             raise ValueError(f"node {node} is not declared in the graph")
         if len(self.nodes) + 1 > NODE_CAP:
             raise ValueError(f"simulator cap of {NODE_CAP} nodes exceeded")
-        return ClusterState(self.graph, self.nodes + (node,), np.kron(self.amps, _PLUS))
+        return ClusterState(self.graph, self.nodes + (node,), outer(self.amps, _PLUS))
 
     def with_bond(self, a: int, b: int) -> "ClusterState":
-        ia, ib = self.axis(a), self.axis(b)
-        n = len(self.nodes)
-        t = self.amps.reshape([2] * n).copy()
-        idx: list = [slice(None)] * n
-        idx[ia] = 1
-        idx[ib] = 1
-        t[tuple(idx)] *= -1.0
-        return ClusterState(self.graph, self.nodes, t.reshape(-1))
+        amps = flip_sign(self.amps, len(self.nodes), (), (self.axis(a), self.axis(b)))
+        return ClusterState(self.graph, self.nodes, amps)
 
     def with_pauli(self, node: int, x: bool, z: bool) -> "ClusterState":
-        i = self.axis(node)
-        n = len(self.nodes)
-        t = self.amps.reshape([2] * n).copy()
-        idx: list = [slice(None)] * n
-        if x:
-            t = np.flip(t, axis=i)
-        if z:
-            idx[i] = 1
-            t[tuple(idx)] *= -1.0
-        return ClusterState(self.graph, self.nodes, t.reshape(-1))
+        i = (self.axis(node),)
+        amps = flip_sign(self.amps, len(self.nodes), i if x else (), i if z else ())
+        return ClusterState(self.graph, self.nodes, amps)
 
     def sorted_logical(self) -> LogicalState:
         """State on the active nodes in ascending node-id order."""
-        order = np.argsort(self.nodes)
-        t = self.amps.reshape([2] * len(self.nodes))
-        t = np.transpose(t, order)
-        return LogicalState._trusted(t.reshape(-1), len(self.nodes))
+        n = len(self.nodes)
+        order = np.argsort(self.nodes).tolist()
+        return LogicalState._trusted(axes_first(self.amps, n, order).reshape(-1), n)
 
 
 def build_cluster(graph: ClusterGraph) -> LogicalState:
@@ -289,9 +281,9 @@ def measure_node(
     new_state = ClusterState(state.graph, rest_nodes, amps)
 
     measured = set(outcomes) | {node}
+    new_frame = frame.without(node)
     if instr.basis == "xy":
         s_log = outcome ^ int(frame.z(node))
-        new_frame = frame.without(node)
         successor = _resolve_successor(state, instr, measured)
         if successor is not None and s_log:
             new_frame = new_frame.toggled(successor, x=True)
@@ -300,7 +292,6 @@ def measure_node(
                     new_frame = new_frame.toggled(k, z=True)
     else:
         s_log = outcome ^ int(frame.x(node))
-        new_frame = frame.without(node)
         if s_log:
             for k in state.graph.neighbors(node):
                 if k not in measured:

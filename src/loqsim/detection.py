@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .encoding import axes_first
 from .fock import Occupation, PhotonicState
 
 PROB_TOL = 1e-12
@@ -258,8 +259,7 @@ def project(
     the other qubits (in their original order) and the outcome's
     probability.
     """
-    rest = [a for a in range(n) if a not in axes]
-    t = amps.reshape([2] * n).transpose([*axes, *rest]).reshape(1 << len(axes), -1)
+    t = axes_first(amps, n, axes)
     branches = [v.conj() @ t for v in vectors]
     probs = [float(np.linalg.norm(b) ** 2) for b in branches]
     index = sample(probs, seed, force)

@@ -16,6 +16,14 @@ Input is validated at the boundary: `LogicalState(amps)`, `qubit` and
 1 by more than 1e-6.  States the engine derives from valid ones are built
 by `LogicalState._trusted`, which skips those checks but still divides by
 the norm.
+
+Dense qubit arithmetic runs on raw (amps, n) vectors through three
+kernels: `axes_first` (the one reorder: `LogicalState.apply` there and
+back around its matmul, `marginal_bloch`, `detection.project`,
+`ClusterState.sorted_logical`), `outer` (the one product:
+`LogicalState.tensor`, `ClusterState.with_node`) and `flip_sign` (X flips
+an axis, Z and CZ negate a slice: `LogicalState.pauli`, hence the teleport
+corrections, `ClusterState.with_pauli` and `with_bond`).
 """
 
 from __future__ import annotations
@@ -28,6 +36,32 @@ import numpy as np
 
 from .fock import PhotonicState
 from .interferometer import _two_mode_block
+
+
+def axes_first(amps: np.ndarray, n: int, axes: Sequence[int]) -> np.ndarray:
+    """The n-qubit vector as a (2**k, 2**(n-k)) matrix: rows index the
+    listed qubits (first one most significant), columns the others in
+    their original order."""
+    rest = [a for a in range(n) if a not in axes]
+    return amps.reshape([2] * n).transpose([*axes, *rest]).reshape(1 << len(axes), -1)
+
+
+def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product state of two vectors, `a` on the leading qubits."""
+    # the Kronecker product of two vectors as one broadcast multiply
+    return np.multiply(a[:, None], b[None, :]).reshape(-1)
+
+
+def flip_sign(amps: np.ndarray, n: int, flip=(), sign=()) -> np.ndarray:
+    """X on every `flip` qubit, then -1 where every `sign` qubit is 1
+    (Z for one qubit, CZ for two).  Returns a new vector."""
+    t = np.flip(amps.reshape([2] * n), axis=tuple(flip)).copy()
+    if sign:
+        idx: list = [slice(None)] * n
+        for q in sign:
+            idx[q] = 1
+        t[tuple(idx)] *= -1.0
+    return t.reshape(-1)
 
 
 class LogicalState:
@@ -67,20 +101,23 @@ class LogicalState:
         return LogicalState([alpha, beta])
 
     def tensor(self, other: "LogicalState") -> "LogicalState":
-        # np.kron's own product of two vectors, without its shape handling
-        amps = np.multiply(self.amps[:, None], other.amps[None, :]).reshape(-1)
-        return LogicalState._trusted(amps, self.n + other.n)
+        return LogicalState._trusted(outer(self.amps, other.amps), self.n + other.n)
 
     def apply(self, matrix: np.ndarray, qubits: Sequence[int]) -> "LogicalState":
         """Apply a k-qubit unitary to the listed qubits."""
-        k = len(qubits)
-        m = np.asarray(matrix, dtype=complex).reshape([2] * (2 * k))
-        t = self.amps.reshape([2] * self.n)
-        axes = list(qubits)
-        t = np.tensordot(m, t, axes=(list(range(k, 2 * k)), axes))
-        # tensordot put the acted-on axes first; move them back
-        t = np.moveaxis(t, list(range(k)), axes)
-        return LogicalState._trusted(t.reshape(-1), self.n)
+        k, n = len(qubits), self.n
+        m = np.asarray(matrix, dtype=complex).reshape(1 << k, 1 << k)
+        t = m @ axes_first(self.amps, n, qubits)
+        # rows are the listed qubits; the inverse reorder puts them back
+        back = np.argsort([*qubits, *(q for q in range(n) if q not in qubits)]).tolist()
+        t = axes_first(t.reshape(-1), n, back)
+        return LogicalState._trusted(t.reshape(-1), n)
+
+    def pauli(self, qubit: int, x: bool, z: bool) -> "LogicalState":
+        """X (if x) and then Z (if z) on one qubit."""
+        q = (qubit,)
+        amps = flip_sign(self.amps, self.n, q if x else (), q if z else ())
+        return LogicalState._trusted(amps, self.n)
 
     def overlap(self, other: "LogicalState") -> float:
         """|<self|other>|, the global-phase-invariant agreement."""
@@ -228,8 +265,7 @@ def marginal_bloch(state: LogicalState, qubit: int) -> tuple[tuple[float, float,
     """
     if not 0 <= qubit < state.n:
         raise ValueError(f"qubit {qubit} out of range")
-    t = state.amps.reshape([2] * state.n)
-    t = np.moveaxis(t, qubit, 0).reshape(2, -1)
+    t = axes_first(state.amps, state.n, (qubit,))
     rho = t @ t.conj().T
     vec = (
         float(2.0 * rho[0, 1].real),
@@ -309,13 +345,7 @@ def decompose_su2(target: np.ndarray) -> tuple[float, float, float]:
     if not candidates:
         raise RuntimeError("waveplate decomposition failed to converge")
 
-    candidates.sort()
-    best = candidates[0]
-    deduped = [best]
-    for c in candidates[1:]:
-        if max(abs(a - b) for a, b in zip(c, deduped[-1])) > 1e-9:
-            deduped.append(c)
-    return deduped[0]
+    return min(candidates)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ the target rails (50:50 splitter with phase compensation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -154,18 +154,9 @@ def klm_cz() -> HeraldedGate:
 
 def klm_cnot() -> HeraldedGate:
     """Heralded CNOT (control qubit 0, target qubit 1), success 1/16."""
-    elements = _dual_rail_hadamard(2, 3)
-    elements += _cz_core(1, 3, 4)
-    elements += _dual_rail_hadamard(2, 3)
-    return HeraldedGate(
-        name="klm_cnot",
-        total_modes=8,
-        io_modes=4,
-        network=tuple(elements),
-        ancilla_occupations=(1, 0, 1, 0),
-        herald=HeraldPattern.from_dict({4: 1, 5: 0, 6: 1, 7: 0}),
-        logical_io=QubitEncoding.dual_rail(2),
-    )
+    cz = klm_cz()
+    h = tuple(_dual_rail_hadamard(2, 3))
+    return replace(cz, name="klm_cnot", network=h + cz.network + h)
 
 
 # ---------------------------------------------------------------------------

@@ -214,24 +214,17 @@ def rotation_elements(
     th = math.fmod(theta, 2 * math.pi)
     if th < 0:
         th += 2 * math.pi
-    flip = False
-    if th >= math.pi:
+    flip = th >= math.pi
+    if flip:
         th -= math.pi
-        flip = not flip
-    if th <= math.pi / 2:
-        elems = [
-            phase(mode_b, math.pi / 2),
-            beamsplitter(mode_a, mode_b, math.sin(th) ** 2),
-            phase(mode_b, -math.pi / 2),
-        ]
-    else:
-        th = math.pi - th
-        flip = not flip
-        elems = [
-            phase(mode_b, -math.pi / 2),
-            beamsplitter(mode_a, mode_b, math.sin(th) ** 2),
-            phase(mode_b, math.pi / 2),
-        ]
+    quarter = math.pi / 2  # the sandwich phase, negated past pi/2
+    if th > quarter:
+        th, flip, quarter = math.pi - th, not flip, -quarter
+    elems = [
+        phase(mode_b, quarter),
+        beamsplitter(mode_a, mode_b, math.sin(th) ** 2),
+        phase(mode_b, -quarter),
+    ]
     if flip:
         elems += [phase(mode_a, math.pi), phase(mode_b, math.pi)]
     return elems

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .detection import (
     sample,
 )
 from .dsl import ElementSpec, ExperimentSpec, SpecError
-from .encoding import QubitEncoding, decode
+from .encoding import LogicalState, QubitEncoding, decode
 from .fock import PhotonicState, make_basis_state
 from .heralded import HeraldedGate, klm_cnot, run_photonic
 from .interferometer import (
@@ -43,7 +43,6 @@ from .interferometer import (
     swap,
 )
 from .teleport import cnot_matrix, teleported_cnot
-from .encoding import LogicalState
 
 
 @dataclass
@@ -110,24 +109,19 @@ def format_report(report: Report, fmt: str) -> str:
 # lowering
 # ---------------------------------------------------------------------------
 
+_ANGLED = {"phase": phase, "hwp": hwp, "qwp": qwp}  # (index, degrees)
+
+
 def lower_elements(specs: tuple[ElementSpec, ...]):
     elements = []
     for e in specs:
         if e.kind == "bs":
-            a, b, r = e.params
-            elements.append(beamsplitter(a, b, r))
-        elif e.kind == "phase":
-            m, deg = e.params
-            elements.append(phase(m, math.radians(deg)))
-        elif e.kind == "hwp":
-            p, deg = e.params
-            elements.append(hwp(p, math.radians(deg)))
-        elif e.kind == "qwp":
-            p, deg = e.params
-            elements.append(qwp(p, math.radians(deg)))
+            elements.append(beamsplitter(*e.params))
         elif e.kind == "pbs":
-            p, q = e.params
-            elements.append(pbs(p, q))
+            elements.append(pbs(*e.params))
+        elif e.kind in _ANGLED:
+            index, deg = e.params
+            elements.append(_ANGLED[e.kind](index, math.radians(deg)))
         else:
             raise SpecError(f"unknown element kind {e.kind!r}", e.line, e.col)
     return elements
@@ -155,15 +149,7 @@ def _gate_for(spec: ExperimentSpec) -> HeraldedGate:
         return gate
     # reversed roles: conjugate the network by a dual-rail qubit swap
     swaps = (swap(0, 2), swap(1, 3))
-    return HeraldedGate(
-        name="klm_cnot_reversed",
-        total_modes=gate.total_modes,
-        io_modes=gate.io_modes,
-        network=swaps + gate.network + swaps,
-        ancilla_occupations=gate.ancilla_occupations,
-        herald=gate.herald,
-        logical_io=gate.logical_io,
-    )
+    return replace(gate, name="klm_cnot_reversed", network=swaps + gate.network + swaps)
 
 
 def _logical_json(state: LogicalState | None) -> str:
@@ -193,6 +179,10 @@ def run(
     eff_trials = spec.trials if trials is None else _checked_trials(trials)
 
     if spec.sweep is not None:
+        if eff_trials is not None:
+            raise SpecError(
+                "duplicate run mode: 'sweep' and 'trials' are exclusive", spec.sweep.line
+            )
         return _run_sweep(spec, eff_seed)
     if eff_trials is not None:
         return _run_monte_carlo(spec, eff_seed, eff_trials)

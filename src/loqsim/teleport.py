@@ -34,9 +34,6 @@ from .heralded import conditional_logical_map, klm_cnot
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 class BellLabel(enum.Enum):
     PHI_PLUS = "phi+"
@@ -74,12 +71,9 @@ class PauliCorrection:
         )
 
     def apply(self, state: LogicalState, qubit: int = 0) -> LogicalState:
-        out = state
-        if self.x_flip:
-            out = out.apply(_X, (qubit,))
-        if self.z_flip:
-            out = out.apply(_Z, (qubit,))
-        return out
+        # one renormalization per factor; a merged call rounds reports differently
+        out = state.pauli(qubit, True, False) if self.x_flip else state
+        return out.pauli(qubit, False, True) if self.z_flip else out
 
 
 @dataclass(frozen=True)

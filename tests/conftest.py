@@ -137,6 +137,33 @@ def assert_matches_monolithic(result, graph, schedule, seed, tol=1e-10):
     assert result.output.overlap(mono.output) >= 1 - tol
 
 
+def _bit(index: int, q: int, n: int) -> int:
+    """Bit of qubit q in an n-qubit basis index; qubit 0 is the most significant."""
+    return (index >> (n - 1 - q)) & 1
+
+
+def full_operator(matrix, qubits, n: int) -> np.ndarray:
+    """The 2**n x 2**n operator of a k-qubit matrix on the listed qubits.
+
+    Built entry by entry from basis-index bits (the first listed qubit is
+    the matrix index's most significant bit), with no array reordering,
+    so it shares nothing with the library's axes-first reorder or its
+    flip/sign kernel.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    k = len(qubits)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for col in range(1 << n):
+        sub_col = sum(_bit(col, q, n) << (k - 1 - j) for j, q in enumerate(qubits))
+        for sub_row in range(1 << k):
+            row = col
+            for j, q in enumerate(qubits):
+                if _bit(row, q, n) != _bit(sub_row, j, k):
+                    row ^= 1 << (n - 1 - q)
+            out[row, col] += m[sub_row, sub_col]
+    return out
+
+
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish random unitary from the QR of a complex Ginibre matrix."""
     z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2)

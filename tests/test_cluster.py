@@ -21,7 +21,7 @@ from loqsim.detection import derive_rng
 from loqsim.encoding import LogicalState
 from loqsim.teleport import cnot_matrix
 
-from conftest import assert_matches_monolithic, random_logical_amps
+from conftest import assert_matches_monolithic, full_operator, random_logical_amps
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
@@ -232,6 +232,24 @@ def test_outcome_statistics():
         result = run_pattern(graph, schedule, derive_rng(13, i))
         ones += result.transcript[0][2]
     assert abs(ones / n - 0.5) < 0.02
+
+
+def test_pauli_and_bond_match_full_operator(rng):
+    # axis order differs from node-id order, so node -> axis is exercised
+    nodes = (7, 2, 9, 5)
+    state = ClusterState(ClusterGraph(nodes, ()), nodes, random_logical_amps(rng, 4))
+    eye = np.eye(2, dtype=complex)
+    x_mat = np.array([[0, 1], [1, 0]], dtype=complex)
+    z_mat = np.diag([1.0, -1.0]).astype(complex)
+    cz_mat = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+    for axis, node in enumerate(nodes):
+        for x, z in ((True, False), (False, True), (True, True)):
+            matrix = (z_mat if z else eye) @ (x_mat if x else eye)
+            want = full_operator(matrix, (axis,), 4) @ state.amps
+            assert np.abs(state.with_pauli(node, x, z).amps - want).max() < 1e-12
+    for a, b in itertools.combinations(range(4), 2):
+        want = full_operator(cz_mat, (a, b), 4) @ state.amps
+        assert np.abs(state.with_bond(nodes[b], nodes[a]).amps - want).max() < 1e-12
 
 
 def test_frame_applied_twice_is_identity():

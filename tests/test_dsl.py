@@ -392,6 +392,44 @@ def test_library_trials_below_one_refused():
             teleport_cnot_report(trials, 3)
 
 
+def test_trials_override_on_sweep_spec_refused(tmp_path, capsys):
+    from loqsim.cli import main
+
+    text = HOM + "sweep overlap from 0 to 1 steps 3\n"
+    spec = parse(text)
+    with pytest.raises(SpecError) as err:
+        run(spec, trials=5)
+    assert err.value.message == "duplicate run mode: 'sweep' and 'trials' are exclusive"
+    assert err.value.line == 5
+    path = tmp_path / "sweep.lqs"
+    path.write_text(text)
+    assert main(["run", str(path), "--trials", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 5, col 1: duplicate run mode" in captured.err
+    assert main(["run", str(path)]) == 0
+
+
+def test_cluster_demo_nonfinite_angle_exits_2(capsys):
+    from loqsim.cli import main
+
+    for argv in (
+        ["--alpha", "nan"],
+        ["--beta", "inf"],
+        ["--gamma=-inf"],  # "-inf" alone would read as an option
+        ["--alpha", "1e400"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster-demo", *argv])
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "Traceback" not in err, (argv, err)
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster-demo", "--beta", "x"])
+    assert exc.value.code == 2
+    assert "invalid float value" in capsys.readouterr().err
+
+
 def _assert_usage_error(main, argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

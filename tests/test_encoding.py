@@ -17,9 +17,12 @@ from loqsim.encoding import (
 from loqsim.fock import make_basis_state, superpose
 from loqsim.interferometer import apply, compose, hwp, qwp
 
-from conftest import random_logical_amps, random_unitary
+from conftest import full_operator, random_logical_amps, random_unitary
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+IDENTITY = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +121,36 @@ def test_marginal_of_entangled_pair_is_mixed():
     assert not pure
     vec1, pure1 = marginal_bloch(LogicalState.from_bits("01"), 1)
     assert pure1 and np.allclose(vec1, (0, 0, -1))
+
+
+# ---------------------------------------------------------------------------
+# qubit kernels against the bit-arithmetic operator
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "n, qubits",
+    [
+        (3, (0,)), (4, (3,)), (5, (2,)),
+        (3, (2, 0)), (6, (5, 2)), (4, (1, 3)), (5, (4, 0)),
+        (4, (3, 0, 1)), (6, (5, 1, 3)), (3, (2, 1, 0)), (5, (0, 4, 2)),
+    ],
+)
+def test_apply_matches_full_operator(rng, n, qubits):
+    amps = random_logical_amps(rng, n)
+    u = random_unitary(rng, 1 << len(qubits))
+    got = LogicalState(amps).apply(u, qubits).amps
+    want = full_operator(u, qubits, n) @ amps
+    assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("x, z", [(True, False), (False, True), (True, True), (False, False)])
+def test_pauli_matches_full_operator(rng, x, z):
+    n = 4
+    amps = random_logical_amps(rng, n)
+    matrix = (PAULI_Z if z else IDENTITY) @ (PAULI_X if x else IDENTITY)
+    for q in range(n):
+        got = LogicalState(amps).pauli(q, x, z).amps
+        assert np.abs(got - full_operator(matrix, (q,), n) @ amps).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ one loop: trial i of every run must keep drawing from its own stream
 derive_rng(seed, i), so sampled outcomes, success bits, attempts and pair
 counts stay exactly the same.  The single-run and sweep reports of the
 shipped specs, `hom` and `cnot-herald` were captured before engine
-outputs stopped being re-validated.  Floats agree to 1e-12.
+outputs stopped being re-validated, and the two `cluster-demo` reports
+before the qubit operations shared one set of kernels.  Floats agree to
+1e-12.
 """
 
 from __future__ import annotations
