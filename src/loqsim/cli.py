@@ -8,7 +8,9 @@
 
 Exit codes: 0 on success, 2 on experiment-description errors (and on
 --trials < 1, --seed < 0, --steps < 2, a non-finite cluster-demo angle or
---trials on a sweep spec), 1 on runtime errors.
+--trials on a sweep spec), 1 on runtime errors.  A description error
+prints as `FILE: line L, col C: message`, whether the parser or the run
+found it.
 """
 
 from __future__ import annotations
@@ -117,11 +119,11 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
             try:
                 spec = parse(text)
+                report = run(spec, seed=args.seed, trials=args.trials)
             except SpecError as exc:
                 print(f"{args.file}: {exc}", file=sys.stderr)
                 return 2
             fmt = args.format or spec.emit
-            report = run(spec, seed=args.seed, trials=args.trials)
         elif args.command == "hom":
             fmt = args.format or "json"
             report = hom_report(steps=args.steps, seed=seed)
@@ -139,9 +141,6 @@ def main(argv: list[str] | None = None) -> int:
                 gamma_deg=args.gamma,
                 seed=seed,
             )
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,13 +11,20 @@ The residual state of a record is the dominant loss-free detection branch
 identify a unique branch).  Terms whose measured-mode counts differ are
 distinguishable once the detectors fire, so they never re-interfere.
 
-`sample` is the one Born-rule draw: u = rng.random() * sum(probs), and
-the first outcome with p > 0 whose running sum exceeds u wins.  `project`
+`born_pick` is the one Born-rule pick: u = r * sum(probs) for a uniform
+draw r, and the first outcome with p > 0 whose running sum exceeds u
+wins.  `sample` draws r and picks from one outcome list; the batched
+teleported CNOT picks each trial's Bell outcome from its row of a
+stacked probability table, with the r it drew earlier.  `project`
 is the one dense projective measurement (Bell analysis, cluster nodes).
 `force` names an outcome index instead of drawing (no random number is
 used); an index out of range or below PROB_TOL in probability is refused.
+
 Trial i of a Monte Carlo run draws from its own PCG64 stream
-derive_rng(seed, i), so results do not depend on scheduling.
+derive_rng(seed, i), so results do not depend on scheduling.  No draw
+depends on amplitudes, only on the stream (a Born-rule draw is the
+uniform r, not the outcome), so a run may take every trial's draws first
+and evolve the states of a block of trials afterwards as stacked arrays.
 """
 
 from __future__ import annotations
@@ -219,23 +226,22 @@ def rng_from_seed(seed) -> np.random.Generator:
 
 def derive_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent per-trial stream; results are scheduling-independent."""
-    return np.random.default_rng([int(seed), int(trial_index)])
+    # the stream default_rng([seed, trial_index]) builds, without its
+    # argument coercion
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([int(seed), int(trial_index)]))
+    )
 
 
-def sample(probs: Sequence[float], seed, force: int | None = None) -> int:
-    """Born-rule draw of an outcome index from unnormalized probabilities.
+def born_pick(probs: Sequence[float], r: float) -> int:
+    """The Born-rule pick for one uniform draw r over unnormalized
+    probabilities: u = r * sum(probs), and the first outcome with p > 0
+    whose running sum exceeds u wins.
 
     If rounding leaves u at or past the running total, the last outcome
-    with p > 0 is returned; all-zero probabilities are an error.  `force`
-    returns that index without drawing, if it is possible.
+    with p > 0 is returned; all-zero probabilities are an error.
     """
-    if force is not None:
-        if force not in range(len(probs)):
-            raise ValueError(f"forced outcome {force} is not one of {len(probs)} outcomes")
-        if probs[force] < PROB_TOL:
-            raise ValueError(f"forced outcome {force} has probability 0")
-        return force
-    u = rng_from_seed(seed).random() * sum(probs)
+    u = r * sum(probs)
     acc = 0.0
     last = None
     for k, p in enumerate(probs):
@@ -247,6 +253,20 @@ def sample(probs: Sequence[float], seed, force: int | None = None) -> int:
     if last is None:
         raise ValueError("state has no support on the measurement outcomes")
     return last
+
+
+def sample(probs: Sequence[float], seed, force: int | None = None) -> int:
+    """Born-rule draw of an outcome index: one uniform draw, then
+    `born_pick`.  `force` returns that index without drawing, if it is
+    possible.
+    """
+    if force is not None:
+        if force not in range(len(probs)):
+            raise ValueError(f"forced outcome {force} is not one of {len(probs)} outcomes")
+        if probs[force] < PROB_TOL:
+            raise ValueError(f"forced outcome {force} has probability 0")
+        return force
+    return born_pick(probs, rng_from_seed(seed).random())
 
 
 def project(

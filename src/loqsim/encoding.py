@@ -18,12 +18,15 @@ by `LogicalState._trusted`, which skips those checks but still divides by
 the norm.
 
 Dense qubit arithmetic runs on raw (amps, n) vectors through three
-kernels: `axes_first` (the one reorder: `LogicalState.apply` there and
-back around its matmul, `marginal_bloch`, `detection.project`,
+kernels: `axes_first` (the one reorder: `on_qubits` there and back around
+its matmul, `marginal_bloch`, `detection.project`,
 `ClusterState.sorted_logical`), `outer` (the one product:
 `LogicalState.tensor`, `ClusterState.with_node`) and `flip_sign` (X flips
 an axis, Z and CZ negate a slice: `LogicalState.pauli`, hence the teleport
-corrections, `ClusterState.with_pauli` and `with_bond`).
+corrections, `ClusterState.with_pauli` and `with_bond`).  `axes_first`,
+`outer` and `on_qubits` also take stacks of vectors, (..., 2**n), with
+the qubits on the last axis; the batched teleported CNOT runs blocks of
+trials through them.
 """
 
 from __future__ import annotations
@@ -41,15 +44,32 @@ from .interferometer import _two_mode_block
 def axes_first(amps: np.ndarray, n: int, axes: Sequence[int]) -> np.ndarray:
     """The n-qubit vector as a (2**k, 2**(n-k)) matrix: rows index the
     listed qubits (first one most significant), columns the others in
-    their original order."""
+    their original order.  Leading axes of a stack are kept."""
+    lead = amps.shape[:-1]
+    b = len(lead)
     rest = [a for a in range(n) if a not in axes]
-    return amps.reshape([2] * n).transpose([*axes, *rest]).reshape(1 << len(axes), -1)
+    if b:  # the qubit axes come after the stack's leading axes
+        axes, rest = [b + a for a in axes], [b + a for a in rest]
+    t = amps.reshape(lead + (2,) * n).transpose([*range(b), *axes, *rest])
+    return t.reshape(lead + (1 << len(axes), -1))
 
 
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product state of two vectors, `a` on the leading qubits."""
+    """Product state of two vectors, `a` on the leading qubits; stacks
+    broadcast over their leading axes."""
     # the Kronecker product of two vectors as one broadcast multiply
-    return np.multiply(a[:, None], b[None, :]).reshape(-1)
+    t = np.multiply(a[..., None], b[..., None, :])
+    return t.reshape(t.shape[:-2] + (-1,))
+
+
+def on_qubits(amps: np.ndarray, n: int, matrix: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """A 2**k x 2**k matrix applied to the listed qubits of n-qubit
+    vectors (the first listed qubit is the matrix index's most
+    significant bit)."""
+    t = matrix @ axes_first(amps, n, qubits)
+    # rows are the listed qubits; the inverse reorder puts them back
+    back = np.argsort([*qubits, *(q for q in range(n) if q not in qubits)]).tolist()
+    return axes_first(t.reshape(amps.shape), n, back).reshape(amps.shape)
 
 
 def flip_sign(amps: np.ndarray, n: int, flip=(), sign=()) -> np.ndarray:
@@ -105,13 +125,9 @@ class LogicalState:
 
     def apply(self, matrix: np.ndarray, qubits: Sequence[int]) -> "LogicalState":
         """Apply a k-qubit unitary to the listed qubits."""
-        k, n = len(qubits), self.n
+        k = len(qubits)
         m = np.asarray(matrix, dtype=complex).reshape(1 << k, 1 << k)
-        t = m @ axes_first(self.amps, n, qubits)
-        # rows are the listed qubits; the inverse reorder puts them back
-        back = np.argsort([*qubits, *(q for q in range(n) if q not in qubits)]).tolist()
-        t = axes_first(t.reshape(-1), n, back)
-        return LogicalState._trusted(t.reshape(-1), n)
+        return LogicalState._trusted(on_qubits(self.amps, self.n, m, qubits), self.n)
 
     def pauli(self, qubit: int, x: bool, z: bool) -> "LogicalState":
         """X (if x) and then Z (if z) on one qubit."""

@@ -17,6 +17,17 @@ attempt is nondeterministic.  That is exactly the accounting that gives
 32.  A bare linear-optics Bell analyzer is also provided: it identifies
 the Psi pair and degrades to a computational-basis measurement on the
 Phi subspace, succeeding half the time on Bell-uniform inputs.
+
+A teleported CNOT runs in two phases.  `cnot_draws` takes every random
+number of one run from its stream: the attempt loop, then one uniform
+per Bell measurement.  None of them depends on amplitudes.
+`teleported_cnot_block` then evolves a stack of runs at once as (T, 64)
+-> (T, 16) -> (T, 4) arrays: product state with two Bell pairs, the
+gate action, two Bell projections (each run's outcome picked from its
+own row of probabilities by `detection.born_pick` with its own draw) and
+the commuted corrections as index and sign tables.  `teleported_cnot` is
+the one-run call of the same two phases; a Monte Carlo report draws
+every trial of a block first and then makes one block call.
 """
 
 from __future__ import annotations
@@ -28,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detection import project, rng_from_seed
-from .encoding import LogicalState
+from .detection import born_pick, project, rng_from_seed, sample
+from .encoding import LogicalState, axes_first, on_qubits, outer
 from .heralded import conditional_logical_map, klm_cnot
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -186,6 +197,87 @@ def _cnot_resource() -> tuple[float, np.ndarray]:
     return p, m / math.sqrt(p)
 
 
+def cnot_draws(
+    rng: np.random.Generator,
+    force_attempts: int | None = None,
+    force_bells: tuple = (None, None),
+) -> tuple[int, tuple[float | None, float | None]]:
+    """Phase 1 of one teleported CNOT: the attempt count, then a uniform
+    draw for each Bell measurement whose outcome is not forced (None for
+    a forced one), in that order on `rng`."""
+    if force_attempts is not None:
+        attempts = int(force_attempts)
+    else:
+        p_success, _gate_action = _cnot_resource()
+        attempts = 1
+        while rng.random() >= p_success:
+            attempts += 1
+    return attempts, tuple(rng.random() if f is None else None for f in force_bells)
+
+
+_BELL_ROWS = np.array(list(_BELL_VECTORS.values())).conj()
+
+
+def _bell_block(state: np.ndarray, n: int, qubits, draws, force: int | None):
+    """Ideal Bell measurement of a qubit pair on every row of a (T, 2**n)
+    stack; row t picks with draws[t], unless `force` names the outcome
+    index for all rows.  Returns the outcome indices and the (T, 2**(n-2))
+    renormalized states of the other qubits."""
+    branches = _BELL_ROWS @ axes_first(state, n, qubits)
+    probs = np.linalg.norm(branches, axis=-1) ** 2
+    index = [
+        born_pick(p, r) if force is None else sample(p, None, force)
+        for p, r in zip(probs.tolist(), draws)
+    ]
+    rows = np.arange(len(index))
+    return np.array(index), branches[rows, index] / np.sqrt(probs[rows, index])[:, None]
+
+
+def _correction_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Index and sign tables of the 16 commuted corrections on the two
+    output qubits, row 4 * control label + target label: out[j] =
+    sign[j] * state[index[j]] applies X^x then Z^z on each qubit."""
+    index, sign = [], []
+    for label_c in _BELL_VECTORS:
+        for label_t in _BELL_VECTORS:
+            xc, zc = _CORRECTION_FOR[label_c]
+            xt, zt = _CORRECTION_FOR[label_t]
+            x0, z0, x1, z1 = xc, zc ^ zt, xc ^ xt, zt
+            index.append([(((j >> 1) ^ x0) << 1) | ((j & 1) ^ x1) for j in range(4)])
+            sign.append([(-1.0) ** ((j >> 1) * z0 + (j & 1) * z1) for j in range(4)])
+    return np.array(index), np.array(sign)
+
+
+_FIX_INDEX, _FIX_SIGN = _correction_tables()
+
+
+def teleported_cnot_block(
+    control: np.ndarray,
+    target: np.ndarray,
+    draws: np.ndarray,
+    force_bells: tuple = (None, None),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phase 2 of T teleported CNOTs on normalized (T, 2) input stacks.
+
+    `draws` holds each run's two Bell draws, (T, 2); `force_bells` may
+    name an outcome index per measurement instead.  Returns the (T, 4)
+    corrected outputs and the (T, 2) Bell outcome indices (in
+    `BellLabel` order).
+    """
+    _p_success, gate_action = _cnot_resource()
+    pair = _BELL_VECTORS[BellLabel.PHI_PLUS]
+    # qubits: 0 = control in, (1, 2) = pair A, 3 = target in, (4, 5) = pair B
+    state = outer(outer(outer(control, pair), target), pair)
+    state = on_qubits(state, 6, gate_action, (2, 5))
+    label_c, state = _bell_block(state, 6, (0, 1), draws[:, 0], force_bells[0])
+    # remaining qubit order: (a2, target in, b1, b2)
+    label_t, state = _bell_block(state, 4, (1, 2), draws[:, 1], force_bells[1])
+    # remaining qubit order: (a2, b2) = (control out, target out)
+    fix = 4 * label_c + label_t
+    out = _FIX_SIGN[fix] * np.take_along_axis(state, _FIX_INDEX[fix], axis=1)
+    return out, np.stack([label_c, label_t], axis=1)
+
+
 def teleported_cnot(
     control: LogicalState,
     target: LogicalState,
@@ -199,39 +291,22 @@ def teleported_cnot(
     attempted on one half of each (herald sampled at its simulated
     probability).  After success the inputs are teleported through the
     pre-gated pairs with ideal Bell measurements and the commuted
-    correction set is applied.
+    correction set is applied.  This is `cnot_draws` on `seed`, then
+    `teleported_cnot_block` on a stack of one.
     """
     if control.n != 1 or target.n != 1:
         raise ValueError("teleported_cnot takes two single-qubit states")
-    p_success, gate_action = _cnot_resource()
-    rng = rng_from_seed(seed)
-
-    if force_attempts is not None:
-        attempts = int(force_attempts)
-    else:
-        attempts = 1
-        while rng.random() >= p_success:
-            attempts += 1
-
-    # qubits: 0 = control in, (1, 2) = pair A, 3 = target in, (4, 5) = pair B
-    state = control.tensor(bell_pair()).tensor(target).tensor(bell_pair())
-    state = state.apply(gate_action, (2, 5))
-
-    force_c = force_bells[0] if force_bells else None
-    force_t = force_bells[1] if force_bells else None
-    label_c, state = bell_measure_ideal(state, (0, 1), rng, force_c)
-    # remaining qubit order: (a2, target in, b1, b2)
-    label_t, state = bell_measure_ideal(state, (1, 2), rng, force_t)
-    # remaining qubit order: (a2, b2) = (control out, target out)
-
-    xc, zc = _CORRECTION_FOR[label_c]
-    xt, zt = _CORRECTION_FOR[label_t]
-    control_fix = PauliCorrection(xc, zc ^ zt)
-    target_fix = PauliCorrection(xc ^ xt, zt)
-    state = control_fix.apply(state, 0)
-    state = target_fix.apply(state, 1)
-
-    return state, ResourceTally(attempts, 2 * attempts)
+    labels = list(_BELL_VECTORS)
+    force = []
+    for f in force_bells or (None, None):
+        if f is not None and f not in labels:
+            raise ValueError(f"unknown forced outcome {f!r}")
+        force.append(None if f is None else labels.index(f))
+    attempts, draws = cnot_draws(rng_from_seed(seed), force_attempts, force)
+    out, _labels = teleported_cnot_block(
+        control.amps[None], target.amps[None], np.array([draws]), force
+    )
+    return LogicalState._trusted(out[0], 2), ResourceTally(attempts, 2 * attempts)
 
 
 def cnot_matrix() -> np.ndarray:

@@ -10,8 +10,17 @@ import pytest
 
 from loqsim.cluster import PatternResult, PauliFrame, initial_cluster_state, measure_node
 from loqsim.detection import rng_from_seed
+from loqsim.encoding import LogicalState
 from loqsim.fock import PhotonicState
 from loqsim.interferometer import ModeUnitary, compositions, permanent
+from loqsim.teleport import (
+    _CORRECTION_FOR,
+    PauliCorrection,
+    _cnot_resource,
+    bell_measure_ideal,
+    bell_pair,
+    cnot_matrix,
+)
 
 
 def naive_permanent(matrix) -> complex:
@@ -135,6 +144,46 @@ def assert_matches_monolithic(result, graph, schedule, seed, tol=1e-10):
     assert result.transcript == mono.transcript
     assert result.frame == mono.frame
     assert result.output.overlap(mono.output) >= 1 - tol
+
+
+def _random_qubit(rng) -> LogicalState:
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return LogicalState._trusted(v / np.linalg.norm(v), 1)
+
+
+def serial_teleported_cnot(seed: int, trials: int):
+    """One teleported CNOT at a time, on LogicalState objects.
+
+    The per-trial loop that the batched `teleport_cnot_report` replaced:
+    trial i draws its random inputs, its attempts and its two Bell
+    measurements from default_rng([seed, i]) as it goes, and evolves its
+    own 6-qubit state through `tensor`, `apply`, `bell_measure_ideal` and
+    `PauliCorrection.apply`.  Returns the report rows [i, attempts, pairs,
+    overlap] and, per trial, the (control, target, Bell labels) it used.
+    """
+    p_success, gate_action = _cnot_resource()
+    cnot = cnot_matrix()
+    rows, used = [], []
+    for i in range(trials):
+        rng = np.random.default_rng([seed, i])
+        c = _random_qubit(rng)
+        t = _random_qubit(rng)
+        attempts = 1
+        while rng.random() >= p_success:
+            attempts += 1
+        # qubits: 0 = control in, (1, 2) = pair A, 3 = target in, (4, 5) = pair B
+        state = c.tensor(bell_pair()).tensor(t).tensor(bell_pair())
+        state = state.apply(gate_action, (2, 5))
+        label_c, state = bell_measure_ideal(state, (0, 1), rng)
+        label_t, state = bell_measure_ideal(state, (1, 2), rng)
+        xc, zc = _CORRECTION_FOR[label_c]
+        xt, zt = _CORRECTION_FOR[label_t]
+        state = PauliCorrection(xc, zc ^ zt).apply(state, 0)
+        state = PauliCorrection(xc ^ xt, zt).apply(state, 1)
+        overlap = state.overlap(LogicalState(cnot @ c.tensor(t).amps))
+        rows.append([i, attempts, 2 * attempts, overlap])
+        used.append((c.amps, t.amps, (label_c, label_t)))
+    return rows, used
 
 
 def _bit(index: int, q: int, n: int) -> int:

@@ -6,6 +6,7 @@ import pytest
 from loqsim.detection import (
     DetectorModel,
     HeraldPattern,
+    born_pick,
     derive_rng,
     herald,
     herald_branches,
@@ -201,6 +202,12 @@ def test_sample_at_or_past_the_total_returns_last_positive_outcome():
     assert sample([0.25, 0.0, 0.75, 0.0], _FixedDraw(1.0)) == 2
 
 
+def test_born_pick_needs_a_running_sum_past_u():
+    assert born_pick([0.25, 0.75], 0.25) == 1  # u equals the first running sum
+    assert born_pick([0.25, 0.75], 0.2499) == 0
+    assert born_pick([0.0, 0.5, 0.0, 0.5], 0.5) == 3
+
+
 def test_sample_refuses_all_zero_probabilities():
     with pytest.raises(ValueError):
         sample([0.0, 0.0, 0.0], 0)
@@ -228,3 +235,12 @@ def test_sample_frequencies_within_five_sigma():
     for count, w in zip(counts, weights):
         p = w / sum(weights)
         assert abs(count / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def test_derive_rng_is_the_default_rng_stream_of_seed_and_index():
+    for seed in (0, 1, 20, 7919, 2**40 + 3):
+        for i in range(0, 3000, 7):
+            got, want = derive_rng(seed, i), np.random.default_rng([seed, i])
+            assert got.random() == want.random()
+            assert np.array_equal(got.normal(size=3), want.normal(size=3))
+            assert got.random() == want.random()

@@ -410,6 +410,16 @@ def test_trials_override_on_sweep_spec_refused(tmp_path, capsys):
     assert main(["run", str(path)]) == 0
 
 
+def test_run_time_spec_error_names_the_file(tmp_path, capsys):
+    from loqsim.cli import main
+
+    path = tmp_path / "sweep.lqs"
+    path.write_text(HOM + "sweep overlap from 0 to 1 steps 3\n")
+    assert main(["run", str(path), "--trials", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: line 5, col 1: duplicate run mode"), err
+
+
 def test_cluster_demo_nonfinite_angle_exits_2(capsys):
     from loqsim.cli import main
 

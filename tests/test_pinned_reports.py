@@ -7,7 +7,9 @@ derive_rng(seed, i), so sampled outcomes, success bits, attempts and pair
 counts stay exactly the same.  The single-run and sweep reports of the
 shipped specs, `hom` and `cnot-herald` were captured before engine
 outputs stopped being re-validated, and the two `cluster-demo` reports
-before the qubit operations shared one set of kernels.  Floats agree to
+before the qubit operations shared one set of kernels.  The 1000-trial
+`teleport-cnot` report, which spans several trial blocks, was captured
+before the teleported CNOT ran on blocks of trials.  Floats agree to
 1e-12.
 """
 

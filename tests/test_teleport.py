@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from loqsim.teleport import (
     teleported_cnot,
 )
 
-from conftest import random_logical_amps
+from conftest import random_logical_amps, serial_teleported_cnot
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -263,12 +264,7 @@ def test_correction_commutation(rng):
         )
     for c, t in inputs:
         expected = LogicalState(cnot @ c.tensor(t).amps)
-        for bells in (
-            (BellLabel.PHI_PLUS, BellLabel.PHI_PLUS),
-            (BellLabel.PSI_MINUS, BellLabel.PHI_MINUS),
-            (BellLabel.PSI_PLUS, BellLabel.PSI_PLUS),
-            (BellLabel.PHI_MINUS, BellLabel.PSI_MINUS),
-        ):
+        for bells in itertools.product(BellLabel, repeat=2):
             out, _ = teleported_cnot(c, t, 0, force_attempts=1, force_bells=bells)
             assert out.overlap(expected) > 1 - 1e-10
 
@@ -314,3 +310,70 @@ def test_attempts_are_geometric():
 def test_resource_tally_invariant():
     with pytest.raises(ValueError):
         ResourceTally(attempts=3, entangled_pairs_consumed=5)
+
+
+def test_forced_bells_are_checked_and_may_be_partial():
+    zero = LogicalState.from_bits("0")
+    with pytest.raises(ValueError, match="unknown forced outcome"):
+        teleported_cnot(zero, zero, 0, force_bells=("phi+", None))
+    with pytest.raises(ValueError, match="single-qubit"):
+        teleported_cnot(LogicalState.from_bits("00"), zero, 0)
+    one = LogicalState.from_bits("1")
+    for bells in ((BellLabel.PSI_MINUS, None), (None, BellLabel.PHI_MINUS)):
+        out, _ = teleported_cnot(one, zero, 3, force_bells=bells)
+        assert out.overlap(LogicalState.from_bits("11")) > 1 - 1e-10
+
+
+# ---------------------------------------------------------------------------
+# batched Monte Carlo against the serial oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [20, 4])
+def test_report_matches_serial_oracle(seed, monkeypatch):
+    from loqsim import runner
+
+    blocks = []
+    real = runner.teleported_cnot_block
+
+    def spy(*args):
+        out, labels = real(*args)
+        blocks.append((args[0], args[1], labels))
+        return out, labels
+
+    monkeypatch.setattr(runner, "teleported_cnot_block", spy)
+    want, used = serial_teleported_cnot(seed, 1000)
+    size = runner._BLOCK
+    labels = list(BellLabel)
+    for trials in (1, size - 1, size, size + 1, 1000):
+        blocks.clear()
+        report = runner.teleport_cnot_report(trials, seed)
+        assert [len(b[0]) for b in blocks] == [
+            min(size, trials - start) for start in range(0, trials, size)
+        ]
+        assert len(report.rows) == trials
+        for got, ref in zip(report.rows, want):
+            assert got[:3] == ref[:3]
+            assert abs(got[3] - ref[3]) <= 1e-12
+        control, target, bells = (np.concatenate(x) for x in zip(*blocks))
+        for i, (c, t, bell_labels) in enumerate(used[:trials]):
+            assert np.abs(control[i] - c).max() <= 1e-15
+            assert np.abs(target[i] - t).max() <= 1e-15
+            assert (labels[bells[i, 0]], labels[bells[i, 1]]) == bell_labels
+        pairs = sum(row[2] for row in want[:trials])
+        agg = dict(report.aggregate)
+        assert agg["mean_pairs"] == pairs / trials
+        assert agg["mean_attempts"] == pairs / trials / 2.0
+        min_overlap = min([1.0] + [row[3] for row in want[:trials]])
+        assert abs(agg["min_overlap"] - min_overlap) <= 1e-12
+
+
+def test_one_trial_call_draws_in_the_report_order():
+    want, used = serial_teleported_cnot(20, 40)
+    cnot = cnot_matrix()
+    for i, (c, t, _labels) in enumerate(used):
+        rng = derive_rng(20, i)
+        rng.normal(size=(4, 2))  # the report's input draws
+        control, target = LogicalState(c), LogicalState(t)
+        out, tally = teleported_cnot(control, target, rng)
+        assert tally.attempts == want[i][1]
+        assert out.overlap(LogicalState(cnot @ control.tensor(target).amps)) > 1 - 1e-12
