@@ -21,16 +21,18 @@ transition amplitudes are matrix permanents:
 
     <T|U|S> = perm(U[S, T]) / sqrt(prod_i S_i! * prod_j T_j!)
 
-where U[S, T] repeats column i S_i times and row j T_j times.  `apply`
-computes the same amplitudes for a whole photon-number sector at once,
-without a permanent per output: it expands the creation operators
-sum_j U[j, i] a_j^dagger of the input photons one at a time from the
-vacuum, each step one vectorized pass per mode over index tables cached
-per (photons, modes).  Output occupations are listed in lexicographic
-order, so evolution is deterministic and exactly number-conserving.
-`permanent` stays for single amplitudes.  `check_sector_size` refuses a
-sector up front when its amplitudes exceed SECTOR_CAP or its occupation
-keys (amplitudes x modes entries) exceed KEY_CAP.
+where U[S, T] repeats column i S_i times and row j T_j times.
+`evolve_sector` computes the same amplitudes for a whole photon-number
+sector at once, without a permanent per output: it expands the creation
+operators sum_j U[j, i] a_j^dagger of the input photons one at a time
+from the vacuum, each step one vectorized pass per mode over index tables
+cached per (photons, modes).  It returns the sector as one vector in
+lexicographic occupation order; `apply` keys those vectors into a
+`PhotonicState`, so evolution is deterministic and exactly
+number-conserving.  `permanent` stays for single amplitudes.
+`check_sector_size` refuses a sector up front when its amplitudes exceed
+SECTOR_CAP or its occupation keys (amplitudes x modes entries) exceed
+KEY_CAP.
 """
 
 from __future__ import annotations
@@ -365,8 +367,6 @@ def _raising_tables(photons: int, modes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _sector_keys(photons: int, modes: int) -> list[Occupation]:
     """Sector occupations as tuples, in `compositions` order."""
-    if photons == 0:
-        return [(0,) * modes]
     occ = _occupations(photons, modes)
     keys: list[Occupation] = []
     for start in range(0, occ.shape[1], 4096):
@@ -374,21 +374,58 @@ def _sector_keys(photons: int, modes: int) -> list[Occupation]:
     return keys
 
 
-def apply(u: ModeUnitary, state: PhotonicState) -> PhotonicState:
-    """Evolve a Fock-space state through a mode unitary.
+def evolve_sector(
+    u: ModeUnitary, photons: int, terms: Sequence[tuple[Occupation, complex]]
+) -> np.ndarray:
+    """Amplitudes of one photon-number sector after `u`, in `compositions` order.
 
-    Each input photon in mode i is created as sum_j U[j, i] a_j^dagger,
-    one photon at a time from the vacuum.  Creating the c-th photon of
-    input mode i takes sector k to sector k + 1 as
+    `terms` are the input's (occupation, amplitude) pairs, each holding
+    `photons` photons over the `u.dim` modes.  Each input photon in mode i
+    is created as sum_j U[j, i] a_j^dagger, one photon at a time from the
+    vacuum.  Creating the c-th photon of input mode i takes sector k to
+    sector k + 1 as
 
         v'[S + e_j] += U[j, i] * sqrt(S_j + 1) / sqrt(c) * v[S],
 
     one vectorized pass per output mode j.  The 1/sqrt(c) factors make up
     1/sqrt(prod_i S_i!), so every intermediate vector keeps the input
-    amplitude's norm.  Each photon-number sector evolves independently;
-    the total photon number of every term is preserved exactly.  A sector
-    that `check_sector_size` refuses is refused before any work, and one
-    whose norm drifts by more than PRECISION_TOL after it.
+    amplitude's norm.  A sector that `check_sector_size` refuses is
+    refused before any work, and one whose norm drifts by more than
+    PRECISION_TOL after it.
+    """
+    m = u.dim
+    check_sector_size(photons, m)
+    total = np.zeros(sector_size(photons, m), dtype=complex)
+    for occ, amp in terms:
+        v = np.array([amp])
+        k = 0
+        for col, count in enumerate(occ):
+            for c in range(1, count + 1):
+                occupied, up = _raising_tables(k, m)
+                weights = u.matrix[:, col] / math.sqrt(c)
+                roots = np.sqrt(np.arange(1, k + 2))
+                raised = np.zeros(sector_size(k + 1, m), dtype=complex)
+                for j in range(m):
+                    raised[up[j]] += weights[j] * roots[occupied[j]] * v
+                v = raised
+                k += 1
+        total += v
+    weight = sum(abs(amp) ** 2 for _occ, amp in terms)
+    norm2 = np.vdot(total, total).real
+    if abs(norm2 - weight) > PRECISION_TOL * weight:
+        raise ValueError(
+            f"{photons} photons over {m} modes lost floating-point precision "
+            f"(sector norm^2 {norm2:.6g}, expected {weight:.6g})"
+        )
+    return total
+
+
+def apply(u: ModeUnitary, state: PhotonicState) -> PhotonicState:
+    """Evolve a Fock-space state through a mode unitary.
+
+    Each photon-number sector evolves independently through
+    `evolve_sector`, so the total photon number of every term is preserved
+    exactly; every sector is size-checked before any of them evolves.
     """
     if u.dim != state.mode_count:
         raise ValueError(
@@ -403,29 +440,7 @@ def apply(u: ModeUnitary, state: PhotonicState) -> PhotonicState:
 
     out: dict[Occupation, complex] = {}
     for n, terms in sorted(sectors.items()):
-        total = np.zeros(sector_size(n, m), dtype=complex)
-        for occ, amp in terms:
-            v = np.array([amp])
-            k = 0
-            for col, count in enumerate(occ):
-                for c in range(1, count + 1):
-                    occupied, up = _raising_tables(k, m)
-                    weights = u.matrix[:, col] / math.sqrt(c)
-                    roots = np.sqrt(np.arange(1, k + 2))
-                    raised = np.zeros(sector_size(k + 1, m), dtype=complex)
-                    for j in range(m):
-                        raised[up[j]] += weights[j] * roots[occupied[j]] * v
-                    v = raised
-                    k += 1
-            total += v
-        weight = sum(abs(amp) ** 2 for _occ, amp in terms)
-        norm2 = np.vdot(total, total).real
-        if abs(norm2 - weight) > PRECISION_TOL * weight:
-            raise ValueError(
-                f"{n} photons over {m} modes lost floating-point precision "
-                f"(sector norm^2 {norm2:.6g}, expected {weight:.6g})"
-            )
-        out.update(zip(_sector_keys(n, m), total.tolist()))
+        out.update(zip(_sector_keys(n, m), evolve_sector(u, n, terms).tolist()))
     return PhotonicState._trusted(m, out)
 
 

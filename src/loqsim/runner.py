@@ -4,13 +4,13 @@ A report is a column/row table plus an ordered aggregate section; both
 the JSON and CSV encodings carry the same values, the seed, and the
 artifact version.  CSV uses RFC-4180 quoting, '.' decimals, and 17
 significant digits so doubles round-trip losslessly; identical spec and
-seed give byte-identical output.
+seed give byte-identical output.  The CSV writer is the package's own:
+it formats a block of rows one column at a time and writes the bytes the
+`csv` module writes with lineterminator "\n".
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -29,12 +29,14 @@ from .detection import (
 )
 from .dsl import ElementSpec, ExperimentSpec, SpecError
 from .encoding import LogicalState, QubitEncoding, decode, outer
-from .fock import PhotonicState, make_basis_state
+from .fock import PRUNE_THRESHOLD, PhotonicState, make_basis_state
 from .heralded import HeraldedGate, klm_cnot, run_photonic
 from .interferometer import (
+    _occupations,
     apply,
     beamsplitter,
     compose,
+    evolve_sector,
     hom_coincidence,
     hwp,
     pbs,
@@ -47,6 +49,8 @@ from .teleport import cnot_draws, cnot_matrix, teleported_cnot_block
 
 @dataclass
 class Report:
+    """A report; every row holds one cell per column."""
+
     mode: str
     columns: list[str]
     rows: list[list]
@@ -65,16 +69,11 @@ class Report:
         return json.dumps(payload, indent=2) + "\n"
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_csv_value(v) for v in row])
-        writer.writerow([])
-        writer.writerow(["metric", "value"])
-        for key, value in self.iter_aggregate():
-            writer.writerow([key, _csv_value(value)])
-        return buf.getvalue()
+        aggregate = [("metric", "value"), *self.iter_aggregate()]
+        return "".join([
+            *_csv_blocks([self.columns]), *_csv_blocks(self.rows), "\n",
+            *_csv_blocks(aggregate),
+        ])
 
     def iter_aggregate(self):
         yield "version", __version__
@@ -91,12 +90,50 @@ def _json_value(v):
     return v
 
 
-def _csv_value(v):
+# rows (or occupation labels) formatted at once; 2048 raised the peak
+# memory of a 4000-trial report by 0.5 MiB and was no faster
+_FORMAT_BLOCK = 512
+
+
+def _csv_blocks(rows):
+    """CSV lines of rows of one width, one text per block of _FORMAT_BLOCK
+    rows; each column of a block is formatted in one pass."""
+    for start in range(0, len(rows), _FORMAT_BLOCK):
+        block = rows[start:start + _FORMAT_BLOCK]
+        columns = [_csv_column(cells) for cells in zip(*block, strict=True)]
+        if len(columns) == 1:  # csv writes a row of one empty field as ""
+            columns[0] = [cell or '""' for cell in columns[0]]
+        lines = map(",".join, zip(*columns)) if columns else [""] * len(block)
+        yield "\n".join(lines) + "\n"
+
+
+def _csv_column(cells: tuple) -> list[str]:
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return [format(v, ".17g") for v in cells]
+    if kinds == {int} or (kinds == {str} and not _csv_special("".join(cells))):
+        return list(map(str, cells))
+    return list(map(_csv_cell, cells))
+
+
+def _csv_cell(v) -> str:
+    """One cell as the csv module writes it after floats are given 17
+    significant digits and numpy numbers are made Python numbers."""
     if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    if isinstance(v, (np.integer,)):
+        return format(float(v), ".17g")
+    if isinstance(v, np.integer):
         return str(int(v))
-    return v
+    text = "" if v is None else v if isinstance(v, str) else str(v)
+    if _csv_special(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_special(text: str) -> bool:
+    """True when the text needs quotes: it holds the delimiter, the quote
+    character or the line terminator (the csv module's minimal-quoting
+    rule as Python 3.11 applies it; a lone "\\r" is not quoted)."""
+    return "," in text or '"' in text or "\n" in text
 
 
 def format_report(report: Report, fmt: str) -> str:
@@ -233,9 +270,8 @@ def _run_single(spec: ExperimentSpec, seed: int) -> Report:
             seed,
         )
 
-    out = _evolved(spec)
     if spec.herald is not None:
-        record = herald(out, HeraldPattern(spec.herald))
+        record = herald(_evolved(spec), HeraldPattern(spec.herald))
         rows = [[record.probability]]
         agg = [
             ("outcome", json.dumps({str(m): c for m, c in record.outcome})),
@@ -243,21 +279,35 @@ def _run_single(spec: ExperimentSpec, seed: int) -> Report:
         ]
         return Report("single", ["probability"], rows, agg, seed)
 
-    rows = []
-    for occ, amp in out.items():
-        rows.append([
-            " ".join(str(n) for n in occ),
-            amp.real,
-            amp.imag,
-            abs(amp) ** 2,
-        ])
+    # the output sector read straight from its vector: the same rows, in
+    # the same order, as the pruned PhotonicState `apply` would key
+    occ = tuple(spec.input_occupations)
+    photons = sum(occ)
+    u = compose(lower_elements(spec.elements), spec.modes)
+    amps = evolve_sector(u, photons, [(occ, 1.0 + 0j)]).tolist()
+    rows = [
+        [label, a.real, a.imag, r ** 2]
+        for label, a in zip(_occupation_labels(photons, spec.modes), amps)
+        if (r := abs(a)) > PRUNE_THRESHOLD
+    ]
     return Report(
         "single",
         ["occupation", "re", "im", "probability"],
         rows,
-        [("norm_squared", out.norm_squared())],
+        [("norm_squared", sum(row[3] for row in rows))],
         seed,
     )
+
+
+def _occupation_labels(photons: int, modes: int) -> list[str]:
+    """"T_0 T_1 ..." for every occupation T of a sector, in `compositions`
+    order, built in blocks of _FORMAT_BLOCK occupations."""
+    names = np.array([str(k) for k in range(photons + 1)], dtype=object)
+    occ = _occupations(photons, modes)
+    labels = []
+    for start in range(0, occ.shape[1], _FORMAT_BLOCK):
+        labels.extend(map(" ".join, names[occ[:, start:start + _FORMAT_BLOCK].T].tolist()))
+    return labels
 
 
 def _basis_bits(state: LogicalState) -> list[int]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -113,6 +115,43 @@ def ryser_apply(u: ModeUnitary, state: PhotonicState) -> PhotonicState:
                 if contrib != 0j:
                     out[t_occ] = out.get(t_occ, 0j) + contrib
     return PhotonicState(m, out)
+
+
+def mesh_spec(rng, modes: int, occ) -> str:
+    """Spec text of a brick-wall mesh of `modes` layers: a beamsplitter and
+    a phase on each neighbouring pair, values drawn by `rng.uniform`."""
+    lines = [f"modes {modes}", "input " + " ".join(map(str, occ))]
+    for layer in range(modes):
+        for a in range(layer % 2, modes - 1, 2):
+            lines.append(f"bs {a} {a + 1} {rng.uniform(0.05, 0.95):.9g}")
+            lines.append(f"phase {a} {rng.uniform(0.0, 360.0):.9g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_csv_text(report) -> str:
+    """A report's CSV through the `csv` module, one cell at a time.
+
+    The writer `Report.to_csv_text` replaced with column-wise formatting:
+    floats (numpy ones too) to 17 significant digits, numpy integers as
+    Python ints, everything else as the csv module writes it.
+    """
+    def cell(v):
+        if isinstance(v, (float, np.floating)):
+            return f"{float(v):.17g}"
+        if isinstance(v, (np.integer,)):
+            return str(int(v))
+        return v
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(report.columns)
+    for row in report.rows:
+        writer.writerow([cell(v) for v in row])
+    writer.writerow([])
+    writer.writerow(["metric", "value"])
+    for key, value in report.iter_aggregate():
+        writer.writerow([key, cell(value)])
+    return buf.getvalue()
 
 
 def monolithic_run(graph, schedule, seed):

@@ -32,7 +32,13 @@ from loqsim.interferometer import (
     swap,
 )
 
-from conftest import brute_force_apply, naive_permanent, random_unitary, ryser_apply
+from conftest import (
+    brute_force_apply,
+    mesh_spec,
+    naive_permanent,
+    random_unitary,
+    ryser_apply,
+)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]]) * SQRT_HALF
@@ -410,15 +416,6 @@ def test_norm_and_photon_number_conserved(network):
         assert abs(after.get(n, 0.0) - weight) < 1e-10, n
 
 
-def _mesh_spec(rng, modes: int, occ) -> str:
-    lines = [f"modes {modes}", "input " + " ".join(map(str, occ))]
-    for layer in range(modes):
-        for a in range(layer % 2, modes - 1, 2):
-            lines.append(f"bs {a} {a + 1} {rng.uniform(0.05, 0.95):.9g}")
-            lines.append(f"phase {a} {rng.uniform(0.0, 360.0):.9g}")
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("modes, photons, bunched", [(12, 6, True), (16, 5, False)])
 def test_cli_full_sector_against_permanents(tmp_path, capsys, rng, modes, photons, bunched):
     from loqsim.cli import main
@@ -426,7 +423,7 @@ def test_cli_full_sector_against_permanents(tmp_path, capsys, rng, modes, photon
     from loqsim.runner import lower_elements
 
     occ = _random_input(rng, modes, photons, bunched)
-    text = _mesh_spec(rng, modes, occ)
+    text = mesh_spec(rng, modes, occ)
     path = tmp_path / "mesh.lqs"
     path.write_text(text)
     assert main(["run", str(path)]) == 0
