@@ -16,6 +16,7 @@ found it.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -54,7 +55,9 @@ def _int_at_least(minimum: int):
 _finite_float = _checked(float, math.isfinite, "finite")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing reads it, never changes it."""
     parser = argparse.ArgumentParser(
         prog="loqsim",
         description="Desk-scale linear-optical quantum computing simulator",

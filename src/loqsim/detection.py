@@ -11,6 +11,16 @@ The residual state of a record is the dominant loss-free detection branch
 identify a unique branch).  Terms whose measured-mode counts differ are
 distinguishable once the detectors fire, so they never re-interfere.
 
+There is one herald, `HeraldGroups`, and it works on arrays: an
+occupation table (one column per row of the state, as
+`interferometer._occupations` gives a sector) and the amplitude vector,
+as `evolve_sector` and `evolve_table` return them.  Pruned rows go
+first, a stable lexsort on the measured rows forms the groups, the
+loss-free match is a mask over them, and only the kept group's rows
+become the residual `PhotonicState`.  One grouping serves any number of
+detector models.  `herald(state, ...)` is the wrapper for a keyed state:
+its terms, in their order, are the rows.
+
 `born_pick` is the one Born-rule pick: u = r * sum(probs) for a uniform
 draw r, and the first outcome with p > 0 whose running sum exceeds u
 wins.  `sample` draws r and picks from one outcome list; the batched
@@ -36,7 +46,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .encoding import axes_first
-from .fock import Occupation, PhotonicState
+from .fock import PRUNE_THRESHOLD, Occupation, PhotonicState
 
 PROB_TOL = 1e-12
 
@@ -116,27 +126,105 @@ def _detect_prob(required: int, true_count: int, d: DetectorModel) -> float:
     return 1.0 - (1.0 - eta) ** true_count
 
 
-def _split_groups(
-    state: PhotonicState, modes: tuple[int, ...]
-) -> dict[tuple[int, ...], dict[Occupation, complex]]:
-    """Group terms by their counts on the measured modes."""
-    mode_set = set(modes)
-    groups: dict[tuple[int, ...], dict[Occupation, complex]] = {}
-    for occ, amp in state.terms.items():
-        measured = tuple(occ[m] for m in modes)
-        rest = tuple(n for i, n in enumerate(occ) if i not in mode_set)
-        groups.setdefault(measured, {})[rest] = amp
-    return groups
-
-
 def _loss_free_match(
-    measured: tuple[int, ...], required: tuple[int, ...], d: DetectorModel
-) -> bool:
+    counts: np.ndarray, required: list[int], d: DetectorModel
+) -> np.ndarray:
+    """Per group (a row of counts): could the detectors report `required`
+    with no photon lost?"""
     if d.number_resolving:
-        return measured == required
-    return all(
-        (t == 0) == (r == 0) for t, r in zip(measured, required)
-    )
+        return (counts == required).all(axis=1)
+    return ((counts == 0) == (np.array(required) == 0)).all(axis=1)
+
+
+class HeraldGroups:
+    """The rows of a state grouped by their counts on a pattern's modes.
+
+    `occ` is an occupation table, occ[j, t] the count of mode j in row t,
+    and `amps[t]` the amplitude of row t.  Rows at or below
+    PRUNE_THRESHOLD are dropped first.  A stable lexsort keyed on the
+    measured rows then puts the groups in sorted count order, each with
+    its rows in table order.  A group's weight (its squared norm, a Python
+    sum over its rows in order) is worked out the first time a record
+    needs it and kept, so records for several detectors share one
+    grouping.
+    """
+
+    def __init__(self, occ: np.ndarray, amps: np.ndarray, pattern: HeraldPattern):
+        modes = pattern.modes
+        if any(m >= occ.shape[0] for m in modes):
+            raise ValueError(
+                f"herald pattern measures mode {max(modes)} but the state has "
+                f"{occ.shape[0]} modes"
+            )
+        self._pattern = pattern
+        self._occ, self._amps = occ, amps
+        kept = np.flatnonzero(np.abs(amps) > PRUNE_THRESHOLD)
+        measured = occ[list(modes)][:, kept]
+        order = np.lexsort(measured[::-1])
+        measured = measured[:, order]
+        self._rows = kept[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (measured[:, 1:] != measured[:, :-1]).any(axis=0)
+        starts = np.flatnonzero(first)
+        self._counts = measured[:, starts].T  # one row per group, sorted
+        self._bounds = [*starts.tolist(), len(order)]
+        self._weights: dict[int, float] = {}
+
+    def _group_rows(self, g: int) -> np.ndarray:
+        return self._rows[self._bounds[g]:self._bounds[g + 1]]
+
+    def _weight(self, g: int) -> float:
+        if g not in self._weights:
+            amps = self._amps[self._group_rows(g)].tolist()
+            self._weights[g] = sum(abs(a) ** 2 for a in amps)
+        return self._weights[g]
+
+    def record(self, detector: DetectorModel = IDEAL_DETECTOR) -> DetectionRecord:
+        """The detection record of the pattern; see `herald`.
+
+        Only groups the detectors can report as the pattern (non-zero
+        factor) or that match it loss-free are weighed: every other group
+        would add weight * 0.0 to the probability.
+        """
+        modes = self._pattern.modes
+        required = [c for _, c in self._pattern.counts]
+        factor = np.ones(len(self._counts))
+        for req, true in zip(required, self._counts.T):
+            top = int(true.max(initial=0))
+            table = np.array([_detect_prob(req, t, detector) for t in range(top + 1)])
+            factor = factor * table[true]
+        match = _loss_free_match(self._counts, required, detector)
+
+        probability = 0.0
+        best, best_weight = None, -1.0
+        for g in np.flatnonzero((factor != 0.0) | match).tolist():
+            weight = self._weight(g)
+            probability += weight * float(factor[g])
+            if match[g] and weight > best_weight:
+                best, best_weight = g, weight
+
+        mode_count = self._occ.shape[0]
+        rest_modes = mode_count - len(modes)
+        if probability <= PROB_TOL or best is None:
+            residual = PhotonicState._trusted(rest_modes, {})
+            probability = max(probability, 0.0)
+        else:
+            rows = self._group_rows(best)
+            rest = [j for j in range(mode_count) if j not in modes]
+            norm = math.sqrt(best_weight)
+            keys = map(tuple, self._occ[rest][:, rows].T.tolist())
+            residual = PhotonicState._trusted(
+                rest_modes, {k: a / norm for k, a in zip(keys, self._amps[rows].tolist())}
+            )
+
+        if detector.number_resolving:
+            outcome = self._pattern.counts
+        else:
+            clicks = self._counts[best].tolist() if best is not None else required
+            outcome = tuple(
+                (m, 1 if c > 0 else 0) for m, c in zip(modes, clicks)
+            )
+        return DetectionRecord(outcome, probability, residual)
 
 
 def herald(
@@ -147,70 +235,13 @@ def herald(
     The probability is the squared norm of the selected component before
     renormalization (so sub-normalized post-selected inputs compose).  A
     zero-probability herald is a valid record with an empty residual, not
-    an error: parameter sweeps legitimately cross zeros.
+    an error: parameter sweeps legitimately cross zeros.  The state's
+    terms, in their own order, are the rows of one `HeraldGroups`.
     """
-    modes = pattern.modes
-    if any(m >= state.mode_count for m in modes):
-        raise ValueError(
-            f"herald pattern measures mode {max(modes)} but the state has "
-            f"{state.mode_count} modes"
-        )
-    required = tuple(c for _, c in pattern.counts)
-    groups = _split_groups(state, modes)
-
-    probability = 0.0
-    best_group: dict[Occupation, complex] | None = None
-    best_weight = -1.0
-    best_counts: tuple[int, ...] | None = None
-    for measured, terms in sorted(groups.items()):
-        weight = sum(abs(a) ** 2 for a in terms.values())
-        factor = 1.0
-        for req, true in zip(required, measured):
-            factor *= _detect_prob(req, true, detector)
-            if factor == 0.0:
-                break
-        probability += weight * factor
-        if _loss_free_match(measured, required, detector) and weight > best_weight:
-            best_group, best_weight, best_counts = terms, weight, measured
-
-    rest_modes = state.mode_count - len(modes)
-    if probability <= PROB_TOL or best_group is None:
-        residual = PhotonicState._trusted(rest_modes, {})
-        probability = max(probability, 0.0)
-    else:
-        residual = _renormalized(rest_modes, best_group, best_weight)
-
-    if detector.number_resolving:
-        outcome = pattern.counts
-    else:
-        clicks = best_counts if best_counts is not None else required
-        outcome = tuple(
-            (m, 1 if c > 0 else 0) for m, c in zip(modes, clicks)
-        )
-    return DetectionRecord(outcome, probability, residual)
-
-
-def _renormalized(rest_modes: int, terms: dict, weight: float) -> PhotonicState:
-    norm = math.sqrt(weight)
-    return PhotonicState._trusted(rest_modes, {occ: a / norm for occ, a in terms.items()})
-
-
-def herald_branches(
-    state: PhotonicState, modes: tuple[int, ...]
-) -> dict[tuple[int, ...], tuple[float, PhotonicState]]:
-    """(probability, residual) of every count pattern on `modes` that occurs.
-
-    One grouping of the state serves every branch; each entry equals
-    herald(state, pattern) with ideal detectors for that pattern.
-    """
-    rest_modes = state.mode_count - len(modes)
-    empty = PhotonicState._trusted(rest_modes, {})
-    out = {}
-    for measured, terms in sorted(_split_groups(state, modes).items()):
-        weight = sum(abs(a) ** 2 for a in terms.values())
-        residual = _renormalized(rest_modes, terms, weight) if weight > PROB_TOL else empty
-        out[measured] = (weight, residual)
-    return out
+    terms = state.terms
+    occ = np.array(list(terms), dtype=np.int64).reshape(len(terms), state.mode_count)
+    amps = np.array(list(terms.values()), dtype=complex)
+    return HeraldGroups(occ.T, amps, pattern).record(detector)
 
 
 # ---------------------------------------------------------------------------

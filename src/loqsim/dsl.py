@@ -176,6 +176,7 @@ class _Parser:
         self.trials: tuple[int, int, int] | None = None  # (trials, seed, line)
         self.emit: tuple[str, int] | None = None
         self.cluster: ClusterSpec | None = None
+        self.first_line: int | None = None  # of the first directive
 
     def parse(self) -> ExperimentSpec:
         i = 0
@@ -186,6 +187,8 @@ class _Parser:
                 i += 1
                 continue
             head, col = toks[0]
+            if self.first_line is None:
+                self.first_line = lineno
             if head == "cluster":
                 i = self._parse_cluster(i, toks)
                 continue
@@ -489,8 +492,10 @@ class _Parser:
                     raise SpecError("gate experiments need an 'input' line", self.gate.line)
                 if not {self.gate.control, self.gate.target} <= {0, 1}:
                     raise SpecError("gate qubits must be q0 and q1", self.gate.line)
-            if self.input is None and (self.elements or self.herald):
-                ref = self.elements[0].line if self.elements else self.herald[1]
+            if self.input is None:
+                ref = self.elements[0].line if self.elements else (
+                    self.herald[1] if self.herald else self.first_line or 1
+                )
                 raise SpecError("'input' must be declared", ref)
 
         if self.sweep is not None and self.trials is not None:

@@ -17,6 +17,11 @@ inherits the sign flip.  Both NS heralds firing gives amplitude
 (1/2)*(1/2), hence the 1/16 success probability, uniform over logical
 inputs.  A CNOT is the same network conjugated by dual-rail Hadamards on
 the target rails (50:50 splitter with phase compensation).
+
+Running a gate evolves each input joined with the ancillas through
+`evolve_table` and heralds the resulting arrays with
+`detection.HeraldGroups`: no full output state is keyed, only the
+heralded residual.
 """
 
 from __future__ import annotations
@@ -29,18 +34,17 @@ import numpy as np
 from .detection import (
     DetectionRecord,
     DetectorModel,
+    HeraldGroups,
     HeraldPattern,
     IDEAL_DETECTOR,
-    herald,
-    herald_branches,
 )
 from .encoding import LogicalState, QubitEncoding, decode, encode, logical_projection
 from .fock import PhotonicState, make_basis_state, tensor
 from .interferometer import (
     OpticalElement,
-    apply,
     beamsplitter,
     compose,
+    evolve_table,
     phase,
     rotation_elements,
 )
@@ -81,7 +85,6 @@ class GateRunResult:
     probability: float
     logical_action: LogicalState | None
     leakage: float
-    failure_branches: tuple[tuple[tuple[int, ...], float, PhotonicState], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +166,9 @@ def klm_cnot() -> HeraldedGate:
 # running gates
 # ---------------------------------------------------------------------------
 
-def _evolve(gate: HeraldedGate, *io_states: PhotonicState) -> list[PhotonicState]:
-    """Each I/O state joined with the gate's ancillas, through its network."""
+def _heralded(gate: HeraldedGate, *io_states: PhotonicState) -> list[HeraldGroups]:
+    """Each I/O state joined with the gate's ancillas, through its network,
+    grouped on the gate's herald modes."""
     for state in io_states:
         if state.mode_count != gate.io_modes:
             raise ValueError(
@@ -172,7 +176,10 @@ def _evolve(gate: HeraldedGate, *io_states: PhotonicState) -> list[PhotonicState
             )
     u = gate.unitary()
     anc = make_basis_state(gate.ancilla_occupations)
-    return [apply(u, tensor(state, anc)) for state in io_states]
+    return [
+        HeraldGroups(*evolve_table(u, tensor(state, anc)), gate.herald)
+        for state in io_states
+    ]
 
 
 def run_photonic(
@@ -181,8 +188,8 @@ def run_photonic(
     detector: DetectorModel = IDEAL_DETECTOR,
 ) -> DetectionRecord:
     """Feed a photonic state into the gate's I/O modes and herald."""
-    (out,) = _evolve(gate, io_state)
-    return herald(out, gate.herald, detector)
+    (groups,) = _heralded(gate, io_state)
+    return groups.record(detector)
 
 
 def run_heralded(
@@ -190,12 +197,12 @@ def run_heralded(
     logical_input: LogicalState,
     detector: DetectorModel = IDEAL_DETECTOR,
 ) -> GateRunResult:
-    """Encode, evolve, herald, decode; report success and failure branches.
+    """Encode, evolve, herald, decode.
 
     Success means the network truly produced the herald state and every
-    herald photon was detected, so the probability scales as the ideal
-    herald probability times eta per required photon.  Patterns faked by
-    detector loss are false heralds and stay in the failure accounting.
+    herald photon was detected, so the probability is the ideal herald
+    probability times eta per required photon.  Patterns faked by
+    detector loss are false heralds and count as failures.
     """
     if gate.logical_io is None:
         raise ValueError(f"gate {gate.name!r} has no logical qubit interface")
@@ -204,25 +211,20 @@ def run_heralded(
             f"gate acts on {gate.logical_io.qubit_count} qubits, "
             f"input has {logical_input.n}"
         )
-    (out,) = _evolve(gate, encode(logical_input, gate.logical_io))
-    branches = herald_branches(out, gate.herald.modes)
-    success_counts = tuple(c for _, c in gate.herald.counts)
-    p_herald, residual = branches.pop(success_counts, (0.0, None))
-    probability = p_herald * detector.efficiency ** gate.herald_photons()
+    (groups,) = _heralded(gate, encode(logical_input, gate.logical_io))
+    record = groups.record(IDEAL_DETECTOR)
+    probability = record.probability * detector.efficiency ** gate.herald_photons()
 
     logical = None
     leakage = 0.0
-    if p_herald > 0.0:
-        logical, leakage = decode(residual, gate.logical_io)
+    if record.probability > 0.0:
+        logical, leakage = decode(record.residual_state, gate.logical_io)
 
     return GateRunResult(
         success=probability > 0.0,
         probability=probability,
         logical_action=logical,
         leakage=leakage,
-        failure_branches=tuple(
-            (counts, p, res) for counts, (p, res) in branches.items()
-        ),
     )
 
 
@@ -242,8 +244,8 @@ def conditional_logical_map(gate: HeraldedGate) -> np.ndarray:
         for j in range(dim)
     ]
     m = np.zeros((dim, dim), dtype=complex)
-    for j, out in enumerate(_evolve(gate, *inputs)):
-        record = herald(out, gate.herald, IDEAL_DETECTOR)
+    for j, groups in enumerate(_heralded(gate, *inputs)):
+        record = groups.record(IDEAL_DETECTOR)
         if record.probability > 0.0:
             m[:, j] = logical_projection(
                 record.residual_state, gate.logical_io

