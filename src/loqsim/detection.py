@@ -30,18 +30,31 @@ is the one dense projective measurement (Bell analysis, cluster nodes).
 `force` names an outcome index instead of drawing (no random number is
 used); an index out of range or below PROB_TOL in probability is refused.
 
+`born_picker` is `born_pick` for many draws on one outcome list: the
+running sums are built once and each pick is a bisection.
+
 Trial i of a Monte Carlo run draws from its own PCG64 stream
-derive_rng(seed, i), so results do not depend on scheduling.  No draw
-depends on amplitudes, only on the stream (a Born-rule draw is the
-uniform r, not the outcome), so a run may take every trial's draws first
-and evolve the states of a block of trials afterwards as stacked arrays.
+derive_rng(seed, i), the stream of np.random.default_rng([seed, i]), so
+results do not depend on scheduling.  `trial_rngs` builds the streams of
+a run a chunk of indices at a time: the `SeedSequence([seed, i])` hash
+(numpy's, after O'Neill's seed_seq: 32-bit words mixed by xor, multiply
+and shift) runs as uint32 array arithmetic over the whole chunk, and
+each stream's PCG64 seeds itself from its precomputed
+`generate_state(4, uint64)` row.  Streams stay bit-identical; only the
+per-trial `SeedSequence` is gone.  No draw depends on amplitudes, only
+on the stream (a Born-rule draw is the uniform r, not the outcome), so a
+run may take every trial's draws first and evolve the states of a block
+of trials afterwards as stacked arrays.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import lru_cache
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -264,6 +277,150 @@ def derive_rng(seed: int, trial_index: int) -> np.random.Generator:
     )
 
 
+# numpy's SeedSequence: a pool of 4 words; the entropy hash (A), the
+# output hash (B) and the pool mix, each a 32-bit multiply constant
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+# streams hashed at once; on a 2-core Xeon the hash costs 0.24 us a stream
+# at 1024 and 2.5 us at 64, against 9-12 us for one SeedSequence
+_HASH_CHUNK = 1024
+_HASH_MIN = 16  # below this the hash's fixed 0.1-0.2 ms costs more
+
+
+def _words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence lays it out: 32-bit words, least
+    significant first, at least one."""
+    if n < 0:
+        raise ValueError(f"seed and trial index must be >= 0, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+@lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of `count` successive hashmix calls,
+    as (count, 1) uint32 columns: the constant advances on every call."""
+    xor, times = [], []
+    for _ in range(count):
+        xor.append(init)
+        init = init * mult & _MASK32
+        times.append(init)
+    return np.array(xor, np.uint32)[:, None], np.array(times, np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, times: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * times
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> 16)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(words).generate_state(4, np.uint64) for each column of
+    a (words, n) uint32 entropy table, as (n, 4) uint64 rows.
+
+    The loops run over the 4 pool words, never over the columns: each
+    hashmix call of SeedSequence's sequence is one array operation.
+    """
+    count = len(entropy)
+    xor, times = _hash_constants(
+        _INIT_A, _MULT_A, _POOL * _POOL + _POOL * max(count - _POOL, 0)
+    )
+    pool = np.zeros((_POOL, entropy.shape[1]), np.uint32)
+    pool[:count] = entropy[:_POOL]
+    pool = _hashmix(pool, xor[:_POOL], times[:_POOL])
+    c = _POOL
+    # every pool word mixes into each other one, then any entropy past the pool
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        h = _hashmix(pool[src], xor[c:c + _POOL - 1], times[c:c + _POOL - 1])
+        pool[dst] = _mix(pool[dst], h)
+        c += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, xor[c:c + _POOL], times[c:c + _POOL]))
+        c += _POOL
+    xor, times = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+    out = _hashmix(np.concatenate([pool, pool]), xor, times)
+    # word pairs read as little-endian uint64, as SeedSequence does
+    return np.ascontiguousarray(out.T).astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _stream_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """The PCG64 seed words of derive_rng(seed, i) for i in range(start,
+    stop), as (stop - start, 4) uint64 rows; the entropy of index i is the
+    words of seed followed by the words of i."""
+    seed_words = _words(seed)
+    # an index gains a word at each power of 2**32
+    edges = [
+        start,
+        *(1 << 32 * k for k in range(len(_words(start)), len(_words(stop - 1)))),
+        stop,
+    ]
+    parts = []
+    for a, b in zip(edges, edges[1:]):
+        if b <= 1 << 64:
+            index = np.arange(a, b, dtype=np.uint64)
+        else:
+            index = np.array(range(a, b), dtype=object)
+        table = [np.full(b - a, w, np.uint32) for w in seed_words]
+        table += [
+            (index >> 32 * k & _MASK32).astype(np.uint32) for k in range(len(_words(a)))
+        ]
+        parts.append(_seed_states(np.array(table)))
+    return np.concatenate(parts)
+
+
+@lru_cache(maxsize=1)
+def _seed_state_type() -> type:
+    """A numpy ISeedSequence standing in for one stream's SeedSequence: it
+    holds the `generate_state(4, np.uint64)` row, which is all PCG64 asks
+    of it.  Made on first use, so importing loqsim leaves numpy.random
+    unimported; a true subclass, so numpy's isinstance check is cached."""
+
+    class SeedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("holds only the 4 uint64 words that seed a PCG64")
+            return self.row
+
+    return SeedState
+
+
+def trial_rngs(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """derive_rng(seed, i) for i in range(start, stop), in order.
+
+    Streams are hashed _HASH_CHUNK indices at a time in array arithmetic
+    (`_seed_states`), so a stream costs its PCG64 and Generator and a
+    share of the chunk's hash.  A chunk of fewer than _HASH_MIN indices
+    takes derive_rng itself.  Every stream equals
+    np.random.default_rng([seed, i]) bit for bit.
+    """
+    seed, start, stop = int(seed), int(start), int(stop)
+    for a in range(start, stop, _HASH_CHUNK):
+        b = min(a + _HASH_CHUNK, stop)
+        if b - a < _HASH_MIN:
+            yield from (derive_rng(seed, i) for i in range(a, b))
+            continue
+        with np.errstate(over="ignore"):
+            states = _stream_states(seed, a, b)
+        generator, pcg64, seed_state = np.random.Generator, np.random.PCG64, _seed_state_type()
+        for row in states:
+            yield generator(pcg64(seed_state(row)))
+
+
 def born_pick(probs: Sequence[float], r: float) -> int:
     """The Born-rule pick for one uniform draw r over unnormalized
     probabilities: u = r * sum(probs), and the first outcome with p > 0
@@ -284,6 +441,28 @@ def born_pick(probs: Sequence[float], r: float) -> int:
     if last is None:
         raise ValueError("state has no support on the measurement outcomes")
     return last
+
+
+def born_picker(probs: Sequence[float]) -> Callable[[float], int]:
+    """`born_pick(probs, r)` as a function of r, for many draws on one
+    list of probabilities (each >= 0).
+
+    The running sums are built once with the same sequential additions (a
+    zero adds nothing, so a zero-probability outcome never has the first
+    sum past u), u = r * sum(probs) as before, and the first running sum
+    past u is found by bisection.  At or past the total the last outcome
+    with p > 0 is picked; all-zero probabilities are refused up front.
+    """
+    total = sum(probs)
+    cum = list(itertools.accumulate(probs))
+    last = max((k for k, p in enumerate(probs) if p > 0.0), default=None)
+    if last is None:
+        raise ValueError("state has no support on the measurement outcomes")
+
+    def pick(r: float) -> int:
+        return min(bisect.bisect_right(cum, r * total), last)
+
+    return pick
 
 
 def sample(probs: Sequence[float], seed, force: int | None = None) -> int:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .detection import (
 from .encoding import LogicalState, QubitEncoding, decode, encode, logical_projection
 from .fock import PhotonicState, make_basis_state, tensor
 from .interferometer import (
+    ModeUnitary,
     OpticalElement,
     beamsplitter,
     compose,
@@ -72,8 +74,16 @@ class HeraldedGate:
         if any(m < self.io_modes for m in self.herald.modes):
             raise ValueError("herald modes must be ancilla modes")
 
-    def unitary(self):
-        return compose(self.network, self.total_modes)
+    def unitary(self) -> ModeUnitary:
+        """The network's mode unitary, composed once per gate (read-only)."""
+        return self._unitary
+
+    @cached_property
+    def _unitary(self) -> ModeUnitary:
+        # cached_property writes the instance __dict__, which frozen allows
+        u = compose(self.network, self.total_modes)
+        u.matrix.setflags(write=False)
+        return u
 
     def herald_photons(self) -> int:
         return sum(c for _, c in self.herald.counts)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -23,9 +24,9 @@ from .detection import (
     DetectorModel,
     HeraldGroups,
     HeraldPattern,
+    born_picker,
     born_table,
-    derive_rng,
-    sample,
+    trial_rngs,
 )
 from .dsl import ElementSpec, ExperimentSpec, SpecError
 from .encoding import LogicalState, QubitEncoding, decode, outer
@@ -369,16 +370,17 @@ _BLOCK = 64  # trials evolved at once; 256 raised the peak RSS, and 32 was no fa
 
 def _trial_rows(seed: int, trials: int, trial, block=None) -> list[list]:
     """The one Monte Carlo loop: row [i, *values] per trial, each trial on
-    its own stream derive_rng(seed, i).
+    its own stream derive_rng(seed, i), as `trial_rngs` builds them.
 
     Without `block`, trial(rng) returns the row's values.  With it,
     trial(rng) only draws, and block(draws) turns up to _BLOCK consecutive
     trials' draws into their rows' values at once.
     """
     rows = []
+    rngs = trial_rngs(seed, 0, trials)
     for start in range(0, trials, _BLOCK):
         stop = min(start + _BLOCK, trials)
-        values = [trial(derive_rng(seed, i)) for i in range(start, stop)]
+        values = [trial(rng) for rng in islice(rngs, stop - start)]
         if block is not None:
             values = block(values)
         rows.extend([i, *v] for i, v in zip(range(start, stop), values))
@@ -410,15 +412,16 @@ def _run_monte_carlo(spec: ExperimentSpec, seed: int, trials: int) -> Report:
 
     outcomes, probs = born_table(_evolved(spec))
     pattern = HeraldPattern(spec.herald) if spec.herald is not None else None
-
-    def sampling_trial(rng):
-        occ = outcomes[sample(probs, rng)]
+    pick = born_picker(probs)
+    # each outcome's row values, worked out once
+    cells = []
+    for occ in outcomes:
         row = [" ".join(str(n) for n in occ)]
         if pattern is not None:
             row.append(int(all(occ[m] == c for m, c in pattern.counts)))
-        return row
+        cells.append(row)
 
-    rows = _trial_rows(seed, trials, sampling_trial)
+    rows = _trial_rows(seed, trials, lambda rng: cells[pick(rng.random())])
     columns = ["trial", "outcome"] + (["matched"] if pattern else [])
     agg = [("trials", trials)]
     if pattern is not None:

@@ -19,8 +19,9 @@ the Psi pair and degrades to a computational-basis measurement on the
 Phi subspace, succeeding half the time on Bell-uniform inputs.
 
 A teleported CNOT runs in two phases.  `cnot_draws` takes every random
-number of one run from its stream: the attempt loop, then one uniform
-per Bell measurement.  None of them depends on amplitudes.
+number of one run from its stream: the attempt loop (its draws taken as
+one batch and scanned), then one uniform per Bell measurement.  None of
+them depends on amplitudes.
 `teleported_cnot_block` then evolves a stack of runs at once as (T, 64)
 -> (T, 16) -> (T, 4) arrays: product state with two Bell pairs, the
 gate action, two Bell projections (each run's outcome picked from its
@@ -197,6 +198,10 @@ def _cnot_resource() -> tuple[float, np.ndarray]:
     return p, m / math.sqrt(p)
 
 
+# 2.5 times the mean attempt count; (15/16)**40 = 7.6 % of runs need more
+_ATTEMPT_DRAWS = 40
+
+
 def cnot_draws(
     rng: np.random.Generator,
     force_attempts: int | None = None,
@@ -204,15 +209,35 @@ def cnot_draws(
 ) -> tuple[int, tuple[float | None, float | None]]:
     """Phase 1 of one teleported CNOT: the attempt count, then a uniform
     draw for each Bell measurement whose outcome is not forced (None for
-    a forced one), in that order on `rng`."""
+    a forced one), in that order on `rng`.
+
+    The values are those of one `rng.random()` per attempt until the
+    herald fires, then one per Bell draw.  They are taken as one
+    `rng.random(_ATTEMPT_DRAWS)` and a scan, with one call per value only
+    past it, so `rng` may be left further along than the last value used:
+    pass a stream that nothing draws from afterwards, as each Monte Carlo
+    trial's own stream is.
+    """
     if force_attempts is not None:
-        attempts = int(force_attempts)
+        attempts, rest = int(force_attempts), []
     else:
         p_success, _gate_action = _cnot_resource()
-        attempts = 1
-        while rng.random() >= p_success:
-            attempts += 1
-    return attempts, tuple(rng.random() if f is None else None for f in force_bells)
+        u = rng.random(_ATTEMPT_DRAWS).tolist()
+        for attempts, r in enumerate(u, 1):
+            if r < p_success:
+                break
+        else:
+            attempts = len(u) + 1
+            while rng.random() >= p_success:
+                attempts += 1
+        rest = u[attempts:]  # the values after the one that fired
+    draws = []
+    for f in force_bells:
+        if f is not None:
+            draws.append(None)
+        else:
+            draws.append(rest.pop(0) if rest else rng.random())
+    return attempts, tuple(draws)
 
 
 _BELL_ROWS = np.array(list(_BELL_VECTORS.values())).conj()
@@ -292,7 +317,8 @@ def teleported_cnot(
     probability).  After success the inputs are teleported through the
     pre-gated pairs with ideal Bell measurements and the commuted
     correction set is applied.  This is `cnot_draws` on `seed`, then
-    `teleported_cnot_block` on a stack of one.
+    `teleported_cnot_block` on a stack of one; a Generator passed as
+    `seed` may be left past the values used (see `cnot_draws`).
     """
     if control.n != 1 or target.n != 1:
         raise ValueError("teleported_cnot takes two single-qubit states")

@@ -274,6 +274,20 @@ def _random_qubit(rng) -> LogicalState:
     return LogicalState._trusted(v / np.linalg.norm(v), 1)
 
 
+def reference_cnot_draws(rng, force_attempts=None, force_bells=(None, None)):
+    """The one-draw loop that `cnot_draws` batches: one `rng.random()` per
+    attempt until one falls below the herald probability, then one per
+    Bell measurement that is not forced."""
+    if force_attempts is not None:
+        attempts = int(force_attempts)
+    else:
+        p_success, _gate_action = _cnot_resource()
+        attempts = 1
+        while rng.random() >= p_success:
+            attempts += 1
+    return attempts, tuple(rng.random() if f is None else None for f in force_bells)
+
+
 def serial_teleported_cnot(seed: int, trials: int):
     """One teleported CNOT at a time, on LogicalState objects.
 

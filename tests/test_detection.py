@@ -9,11 +9,16 @@ from loqsim.detection import (
     DetectorModel,
     HeraldGroups,
     HeraldPattern,
+    _HASH_CHUNK,
+    _HASH_MIN,
+    _stream_states,
     born_pick,
+    born_picker,
     derive_rng,
     herald,
     measure_all,
     sample,
+    trial_rngs,
 )
 from loqsim.fock import PhotonicState, make_basis_state, superpose, tensor
 from loqsim.interferometer import (
@@ -319,3 +324,67 @@ def test_derive_rng_is_the_default_rng_stream_of_seed_and_index():
             assert got.random() == want.random()
             assert np.array_equal(got.normal(size=3), want.normal(size=3))
             assert got.random() == want.random()
+
+
+# seeds of one, two and three 32-bit words
+STREAM_SEEDS = (0, 1, 7919, 2**32 - 1, 2**32, 2**64 + 5)
+
+
+def _assert_default_rng_streams(seed, start, stop):
+    got = list(trial_rngs(seed, start, stop))
+    assert len(got) == stop - start
+    for i, rng in zip(range(start, stop), got):
+        want = np.random.default_rng([seed, i]).bit_generator.state
+        assert rng.bit_generator.state == want, (seed, i)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_block_seeded_streams_are_the_default_rng_streams(seed):
+    # indices 0..3000: three whole chunks, then a hashed partial one
+    _assert_default_rng_streams(seed, 0, 3001)
+    # starts off the chunk grid, a short chunk seeded one stream at a time,
+    # and chunks across 2**32, where an index gains a second word
+    _assert_default_rng_streams(seed, 37, 37 + _HASH_CHUNK + _HASH_MIN - 1)
+    _assert_default_rng_streams(seed, 2**32 - 20, 2**32 + 20)
+    _assert_default_rng_streams(seed, 2**32 - 2, 2**32 + 3)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_block_hash_is_the_seed_sequence_hash(seed):
+    # the kernel itself, on ranges too short for trial_rngs to hash
+    for start, stop in ((0, 1), (2**32 - 2, 2**32 + 3), (2**64 - 1, 2**64 + 1)):
+        states = _stream_states(seed, start, stop)
+        assert states.dtype == np.uint64 and states.shape == (stop - start, 4)
+        for i, row in zip(range(start, stop), states):
+            want = np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+            assert np.array_equal(row, want), (seed, i)
+
+
+def test_block_seeding_refuses_negative_entropy():
+    with pytest.raises(ValueError):
+        list(trial_rngs(-1, 0, _HASH_MIN))
+    with pytest.raises(ValueError):
+        _stream_states(0, -_HASH_MIN, 0)
+
+
+PROBS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1e-300, 0.1]) | st.floats(0.0, 1.0)
+DRAWS = st.sampled_from([0.0, 1.0 - 2**-53, 1.0, 1.5]) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.lists(PROBS, min_size=1, max_size=12),
+    st.lists(DRAWS, min_size=1, max_size=8),
+)
+def test_born_picker_equals_born_pick(zeros, probs, draws):
+    # an all-zero prefix, then drawn values with repeats, zeros and ties
+    probs = [0.0] * zeros + probs
+    if not any(p > 0.0 for p in probs):
+        for pick_all in (lambda: born_picker(probs), lambda: born_pick(probs, 0.5)):
+            with pytest.raises(ValueError):
+                pick_all()
+        return
+    pick = born_picker(probs)
+    for r in draws:
+        assert pick(r) == born_pick(probs, r)

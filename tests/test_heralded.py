@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from loqsim.heralded import (
     run_heralded,
     run_photonic,
 )
-from loqsim.interferometer import apply
+from loqsim.interferometer import apply, compose
 from loqsim.teleport import cnot_matrix
 
 from conftest import (
@@ -174,3 +175,16 @@ def test_run_heralded_validations():
         run_heralded(klm_cnot(), LogicalState.from_bits("0"))
     with pytest.raises(ValueError):
         run_photonic(klm_cnot(), make_basis_state([1, 0]))
+
+
+def test_gate_unitary_is_composed_once_per_gate():
+    gate = klm_cnot()
+    u = gate.unitary()
+    assert gate.unitary() is u
+    # bit-identical to a fresh composition, and shared read-only
+    assert np.array_equal(u.matrix, compose(gate.network, gate.total_modes).matrix)
+    assert not u.matrix.flags.writeable
+    reversed_gate = replace(gate, network=gate.network[::-1])
+    assert reversed_gate.unitary() is not u
+    want = compose(gate.network[::-1], gate.total_modes).matrix
+    assert np.array_equal(reversed_gate.unitary().matrix, want)

@@ -10,7 +10,10 @@ outputs stopped being re-validated, and the two `cluster-demo` reports
 before the qubit operations shared one set of kernels.  The 1000-trial
 `teleport-cnot` report, which spans several trial blocks, was captured
 before the teleported CNOT ran on blocks of trials.  Floats agree to
-1e-12.
+1e-12.  Two reports were captured before the trials' streams were
+hashed in blocks, at seeds of two and three 32-bit words: a 200-trial
+`teleport-cnot` report, and a sampling report in CSV, pinned byte for
+byte as its lines.
 """
 
 from __future__ import annotations
@@ -42,14 +45,20 @@ def assert_same(got, want, where="report"):
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
-MONTE_CARLO = [c for c in PINNED if c["report"]["mode"] == "monte-carlo"]
-SINGLE_AND_SWEEP = [c for c in PINNED if c["report"]["mode"] != "monte-carlo"]
+REPORTS = [c for c in PINNED if "report" in c]
+MONTE_CARLO = [c for c in REPORTS if c["report"]["mode"] == "monte-carlo"]
+SINGLE_AND_SWEEP = [c for c in REPORTS if c["report"]["mode"] != "monte-carlo"]
+CSV = [c for c in PINNED if "csv" in c]
+
+
+def _stdout(case, capsys) -> str:
+    argv = [str(DATA / a) if a.endswith(".lqs") else a for a in case["argv"]]
+    assert main(argv) == 0
+    return capsys.readouterr().out
 
 
 def _check_pinned(case, capsys):
-    argv = [str(DATA / a) if a.endswith(".lqs") else a for a in case["argv"]]
-    assert main(argv) == 0
-    assert_same(json.loads(capsys.readouterr().out), case["report"])
+    assert_same(json.loads(_stdout(case, capsys)), case["report"])
 
 
 @pytest.mark.parametrize("case", MONTE_CARLO, ids=lambda c: " ".join(c["argv"]))
@@ -60,6 +69,11 @@ def test_monte_carlo_report_is_pinned(case, capsys):
 @pytest.mark.parametrize("case", SINGLE_AND_SWEEP, ids=lambda c: " ".join(c["argv"]))
 def test_single_and_sweep_report_is_pinned(case, capsys):
     _check_pinned(case, capsys)
+
+
+@pytest.mark.parametrize("case", CSV, ids=lambda c: " ".join(c["argv"]))
+def test_csv_report_is_pinned_byte_for_byte(case, capsys):
+    assert _stdout(case, capsys) == "".join(line + "\n" for line in case["csv"])
 
 
 def test_pinned_set_covers_every_monte_carlo_mode():

@@ -8,6 +8,7 @@ from loqsim.detection import derive_rng, measure_all
 from loqsim.encoding import LogicalState, QubitEncoding, decode, encode, marginal_bloch
 from loqsim.interferometer import apply, beamsplitter, compose
 from loqsim.teleport import (
+    _ATTEMPT_DRAWS,
     BellLabel,
     FailureRecord,
     PauliCorrection,
@@ -15,12 +16,13 @@ from loqsim.teleport import (
     bell_measure_ideal,
     bell_measure_linear_optics,
     bell_pair,
+    cnot_draws,
     cnot_matrix,
     teleport_qubit,
     teleported_cnot,
 )
 
-from conftest import random_logical_amps, serial_teleported_cnot
+from conftest import random_logical_amps, reference_cnot_draws, serial_teleported_cnot
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -377,3 +379,20 @@ def test_one_trial_call_draws_in_the_report_order():
         out, tally = teleported_cnot(control, target, rng)
         assert tally.attempts == want[i][1]
         assert out.overlap(LogicalState(cnot @ control.tensor(target).amps)) > 1 - 1e-12
+
+
+def test_batched_cnot_draws_equal_the_one_draw_loop():
+    tails = straddles = 0
+    for seed in (0, 7919, 2**32 + 1):
+        for i in range(2000):
+            for force_attempts, force_bells in ((None, (None, None)), (None, (None, 2)),
+                                                (None, (1, None)), (None, (0, 3)),
+                                                (5, (None, None))):
+                got = cnot_draws(derive_rng(seed, i), force_attempts, force_bells)
+                want = reference_cnot_draws(derive_rng(seed, i), force_attempts, force_bells)
+                assert got == want, (seed, i, force_attempts, force_bells)
+            attempts, _bells = cnot_draws(derive_rng(seed, i))
+            tails += attempts > _ATTEMPT_DRAWS
+            straddles += _ATTEMPT_DRAWS - 2 <= attempts <= _ATTEMPT_DRAWS
+    # the sequential tail and Bell draws past the batch were both exercised
+    assert tails > 100 and straddles > 10
