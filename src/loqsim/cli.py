@@ -7,10 +7,10 @@
     loqsim cluster-demo [--alpha A] [--beta B] [--gamma G] ...
 
 Exit codes: 0 on success, 2 on experiment-description errors (and on
---trials < 1, --seed < 0, --steps < 2, a non-finite cluster-demo angle or
---trials on a sweep spec), 1 on runtime errors.  A description error
-prints as `FILE: line L, col C: message`, whether the parser or the run
-found it.
+--trials < 1, --seed < 0, --steps < 2 or over SECTOR_CAP, a non-finite
+cluster-demo angle or --trials on a sweep spec), 1 on runtime errors.  A
+description error prints as `FILE: line L, col C: message`, whether the
+parser or the run found it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .dsl import SpecError, parse
+from .interferometer import SECTOR_CAP
 from .runner import (
     Report,
     cluster_demo_report,
@@ -53,6 +54,7 @@ def _int_at_least(minimum: int):
 
 
 _finite_float = _checked(float, math.isfinite, "finite")
+_steps = _checked(int, lambda value: 2 <= value <= SECTOR_CAP, f">= 2 and <= {SECTOR_CAP}")
 
 
 @functools.cache
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_run)
 
     p_hom = sub.add_parser("hom", help="two-photon coincidence vs overlap")
-    p_hom.add_argument("--steps", type=_int_at_least(2), default=11)
+    p_hom.add_argument("--steps", type=_steps, default=11)
     common(p_hom)
 
     p_cnot = sub.add_parser("cnot-herald", help="heralded CNOT success table")

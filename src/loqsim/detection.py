@@ -12,9 +12,9 @@ identify a unique branch).  Terms whose measured-mode counts differ are
 distinguishable once the detectors fire, so they never re-interfere.
 
 There is one herald, `HeraldGroups`, and it works on arrays: an
-occupation table (one column per row of the state, as
-`interferometer._occupations` gives a sector) and the amplitude vector,
-as `evolve_sector` and `evolve_table` return them.  Pruned rows go
+occupation table (one column per row of the state) and the amplitude
+vector, the (occ, amps) pair `evolve_sector` returns for a sector and
+`evolve_table` for a whole state.  Pruned rows go
 first, a stable lexsort on the measured rows forms the groups, the
 loss-free match is a mask over them, and only the kept group's rows
 become the residual `PhotonicState`.  One grouping serves any number of
@@ -496,18 +496,13 @@ def project(
     return index, branches[index] / math.sqrt(probs[index]), probs[index]
 
 
-def born_table(state: PhotonicState) -> tuple[list[Occupation], list[float]]:
-    """Occupations of a normalized state in lexicographic order, with
-    their probabilities |amplitude|^2."""
+def measure_all(state: PhotonicState, seed) -> tuple[Occupation, float]:
+    """Sample one occupation vector of a normalized state with probability
+    |amplitude|^2, the outcomes in lexicographic order."""
     norm2 = state.norm_squared()
     if abs(norm2 - 1.0) > 1e-9:
         raise ValueError(f"sampling needs a normalized state (norm^2 = {norm2:.6g})")
-    items = list(state.items())
-    return [occ for occ, _ in items], [abs(amp) ** 2 for _, amp in items]
-
-
-def measure_all(state: PhotonicState, seed) -> tuple[Occupation, float]:
-    """Sample one occupation vector with probability |amplitude|^2."""
-    outcomes, probs = born_table(state)
+    outcomes = list(state.items())
+    probs = [abs(amp) ** 2 for _occ, amp in outcomes]
     k = sample(probs, seed)
-    return outcomes[k], probs[k]
+    return outcomes[k][0], probs[k]

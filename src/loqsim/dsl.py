@@ -27,7 +27,9 @@ parse -> serialize -> parse round trip reproduces the spec exactly).
 Every parse failure is a located SpecError diagnostic (line and column),
 never a crash.  Counts and indices are integers >= 0; numbers are
 finite.  An `input` whose sector `interferometer.check_sector_size`
-refuses is refused at its token, and so is a cluster edge listed twice.
+refuses, or whose mode unitary would hold over KEY_CAP entries, is
+refused at its token, as is a cluster edge listed twice or a sweep of
+over SECTOR_CAP steps.
 A spec runs in exactly one mode: `sweep` and `trials` are mutually
 exclusive; with neither, it is a single deterministic run.  A `gate`
 brings its own herald, so a gate experiment that also declares `herald`
@@ -40,7 +42,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .interferometer import check_sector_size
+from .interferometer import KEY_CAP, SECTOR_CAP, check_sector_size
 
 _TOKEN = re.compile(r"\S+")
 
@@ -220,6 +222,9 @@ class _Parser:
             occ.append(_as_int(tok, line, col, "occupation"))
         try:
             check_sector_size(sum(occ), len(occ))
+            # one photon makes modes^2 keys: only a vacuum input gets here
+            if (entries := len(occ) ** 2) > KEY_CAP:
+                raise ValueError(f"the mode unitary has {entries} entries, cap is {KEY_CAP}")
         except ValueError as exc:
             raise SpecError(str(exc), line, toks[0][1]) from None
         self.input = (tuple(occ), line)
@@ -321,6 +326,8 @@ class _Parser:
         start = _as_float(toks[3][0], line, toks[3][1], "sweep start")
         stop = _as_float(toks[5][0], line, toks[5][1], "sweep stop")
         steps = _as_int(toks[7][0], line, toks[7][1], "sweep steps", minimum=2)
+        if steps > SECTOR_CAP:
+            raise SpecError(f"sweep steps must be <= {SECTOR_CAP}, got {steps}", line, toks[7][1])
         if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
             what = "reflectivity" if param.startswith("r") else param
             raise SpecError(f"{what} sweep range must lie in [0, 1]", line, toks[3][1])

@@ -26,10 +26,11 @@ where U[S, T] repeats column i S_i times and row j T_j times.
 sector at once, without a permanent per output: it expands the creation
 operators sum_j U[j, i] a_j^dagger of the input photons one at a time
 from the vacuum, each step one vectorized pass per mode over index tables
-cached per (photons, modes).  It returns the sector as one vector in
-lexicographic occupation order, the column order of the sector's cached
-`_occupations` table.  `evolve_table` runs every sector of a state and
-returns the tables and vectors joined in ascending photon number;
+cached per (photons, modes).  It returns the sector as (occ, amps), the
+one sector format that heralds, reports and samplers read: occ is the
+sector's cached read-only table, occ[j, t] the count of mode j in row t
+(rows in lexicographic order), and amps[t] the amplitude of row t.
+`evolve_table` joins the pairs of a state's sectors by photon number and
 `apply` keys them into a `PhotonicState`.  Evolution is deterministic
 and exactly number-conserving.  `permanent` stays for single amplitudes.
 `check_sector_size` refuses a sector up front when its amplitudes exceed
@@ -401,8 +402,9 @@ def _table_keys(occ: np.ndarray) -> list[Occupation]:
 
 def evolve_sector(
     u: ModeUnitary, photons: int, terms: Sequence[tuple[Occupation, complex]]
-) -> np.ndarray:
-    """Amplitudes of one photon-number sector after `u`, in `compositions` order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One photon-number sector after `u` as (occ, amps): its cached read-only
+    occupation table, columns in `compositions` order, and their amplitudes.
 
     `terms` are the input's (occupation, amplitude) pairs, each holding
     `photons` photons over the `u.dim` modes.  Each input photon in mode i
@@ -442,7 +444,7 @@ def evolve_sector(
             f"{photons} photons over {m} modes lost floating-point precision "
             f"(sector norm^2 {norm2:.6g}, expected {weight:.6g})"
         )
-    return total
+    return _occupations(photons, m), total
 
 
 def evolve_table(u: ModeUnitary, state: PhotonicState) -> tuple[np.ndarray, np.ndarray]:
@@ -452,8 +454,8 @@ def evolve_table(u: ModeUnitary, state: PhotonicState) -> tuple[np.ndarray, np.n
     Each photon-number sector evolves independently through
     `evolve_sector`, so the total photon number of every term is preserved
     exactly; every sector is size-checked before any of them evolves.  The
-    rows are the sectors' `_occupations` tables in ascending photon
-    number, unpruned.
+    sectors' (occ, amps) pairs are joined in ascending photon number,
+    unpruned.
     """
     if u.dim != state.mode_count:
         raise ValueError(
@@ -465,9 +467,9 @@ def evolve_table(u: ModeUnitary, state: PhotonicState) -> tuple[np.ndarray, np.n
         sectors.setdefault(sum(occ), []).append((occ, amp))
     for n in sectors:
         check_sector_size(n, m)
-    photons = sorted(sectors)
-    occ = [np.zeros((m, 0), dtype=np.uint8)] + [_occupations(n, m) for n in photons]
-    amps = [np.zeros(0, dtype=complex)] + [evolve_sector(u, n, sectors[n]) for n in photons]
+    pairs = [(np.zeros((m, 0), dtype=np.uint8), np.zeros(0, dtype=complex))]
+    pairs += [evolve_sector(u, n, sectors[n]) for n in sorted(sectors)]
+    occ, amps = zip(*pairs)
     return np.concatenate(occ, axis=1), np.concatenate(amps)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import compress, islice, repeat
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .detection import (
     HeraldGroups,
     HeraldPattern,
     born_picker,
-    born_table,
     trial_rngs,
 )
 from .dsl import ElementSpec, ExperimentSpec, SpecError
@@ -34,7 +33,6 @@ from .fock import PRUNE_THRESHOLD, PhotonicState, make_basis_state
 from .heralded import HeraldedGate, klm_cnot, run_photonic
 from .interferometer import (
     ModeUnitary,
-    _occupations,
     apply,
     beamsplitter,
     compose,
@@ -237,19 +235,29 @@ def _evolved(spec: ExperimentSpec) -> PhotonicState:
     return apply(_unitary(spec), make_basis_state(spec.input_occupations))
 
 
-def _sector(u: ModeUnitary, occ: tuple[int, ...]) -> tuple[int, np.ndarray]:
-    """Photon number and output sector vector of basis input `occ`."""
-    photons = sum(occ)
-    return photons, evolve_sector(u, photons, [(occ, 1.0 + 0j)])
+def _sector(u: ModeUnitary, occ: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The output sector (occ, amps) of basis input `occ` through `u`."""
+    return evolve_sector(u, sum(occ), [(occ, 1.0 + 0j)])
 
 
-def _herald_groups(
-    u: ModeUnitary, occ: tuple[int, ...], pattern: HeraldPattern
-) -> HeraldGroups:
-    """Basis input `occ` through `u`, grouped on the pattern's modes
-    straight from the sector vector."""
-    photons, amps = _sector(u, occ)
-    return HeraldGroups(_occupations(photons, u.dim), amps, pattern)
+def _kept_rows(sector: tuple[np.ndarray, np.ndarray], counts: tuple = ()):
+    """(label, amplitude, matched) for each row of a sector (occ, amps)
+    above PRUNE_THRESHOLD, in table order: label "T_0 T_1 ...", matched 1
+    if the row holds `counts` (a herald's (mode, count) pairs), 0 if not,
+    None without counts.  Labels and matches are built _FORMAT_BLOCK table
+    rows at a time; rows are pruned as read, by `apply`'s Python `abs`."""
+    occ, amps = sector
+    names = np.array([str(k) for k in range(int(occ.max(initial=0)) + 1)], dtype=object)
+    modes, required = [m for m, _c in counts], [[c] for _m, c in counts]
+    labels, matched = [], []
+    for start in range(0, len(amps), _FORMAT_BLOCK):
+        rows = slice(start, start + _FORMAT_BLOCK)
+        labels += map(" ".join, names[occ[:, rows].T].tolist())
+        if counts:
+            matched += (occ[modes, rows] == required).all(axis=0).astype(int).tolist()
+    values = amps.tolist()
+    kept = map(PRUNE_THRESHOLD.__lt__, map(abs, values))  # abs(a) > PRUNE_THRESHOLD
+    return compress(zip(labels, values, matched if counts else repeat(None)), kept)
 
 
 def _run_single(spec: ExperimentSpec, seed: int) -> Report:
@@ -293,7 +301,7 @@ def _run_single(spec: ExperimentSpec, seed: int) -> Report:
     occ = tuple(spec.input_occupations)
     u = _unitary(spec)
     if spec.herald is not None:
-        record = _herald_groups(u, occ, HeraldPattern(spec.herald)).record()
+        record = HeraldGroups(*_sector(u, occ), HeraldPattern(spec.herald)).record()
         rows = [[record.probability]]
         agg = [
             ("outcome", json.dumps({str(m): c for m, c in record.outcome})),
@@ -301,13 +309,9 @@ def _run_single(spec: ExperimentSpec, seed: int) -> Report:
         ]
         return Report("single", ["probability"], rows, agg, seed)
 
-    # the output sector read straight from its vector: the same rows, in
-    # the same order, as the pruned PhotonicState `apply` would key
-    photons, amps = _sector(u, occ)
     rows = [
-        [label, a.real, a.imag, r ** 2]
-        for label, a in zip(_occupation_labels(photons, spec.modes), amps.tolist())
-        if (r := abs(a)) > PRUNE_THRESHOLD
+        [label, a.real, a.imag, abs(a) ** 2]
+        for label, a, _matched in _kept_rows(_sector(u, occ))
     ]
     return Report(
         "single",
@@ -316,17 +320,6 @@ def _run_single(spec: ExperimentSpec, seed: int) -> Report:
         [("norm_squared", sum(row[3] for row in rows))],
         seed,
     )
-
-
-def _occupation_labels(photons: int, modes: int) -> list[str]:
-    """"T_0 T_1 ..." for every occupation T of a sector, in `compositions`
-    order, built in blocks of _FORMAT_BLOCK occupations."""
-    names = np.array([str(k) for k in range(photons + 1)], dtype=object)
-    occ = _occupations(photons, modes)
-    labels = []
-    for start in range(0, occ.shape[1], _FORMAT_BLOCK):
-        labels.extend(map(" ".join, names[occ[:, start:start + _FORMAT_BLOCK].T].tolist()))
-    return labels
 
 
 def _basis_bits(state: LogicalState) -> list[int]:
@@ -346,7 +339,7 @@ def _run_sweep(spec: ExperimentSpec, seed: int) -> Report:
             rows.append([float(x), hom_coincidence(reflectivity, float(x))])
         columns = ["overlap", "coincidence_probability"]
     elif sw.param == "eta":
-        groups = _herald_groups(_unitary(spec), occ, HeraldPattern(spec.herald))
+        groups = HeraldGroups(*_sector(_unitary(spec), occ), HeraldPattern(spec.herald))
         for eta in values:
             record = groups.record(DetectorModel(efficiency=float(eta)))
             rows.append([float(eta), record.probability])
@@ -360,7 +353,8 @@ def _run_sweep(spec: ExperimentSpec, seed: int) -> Report:
         splitters = (beamsplitter(a, b, float(r)) for r in values)
         pattern = HeraldPattern(spec.herald)
         for r, u in zip(values, compose_sweep(elements, spec.modes, index, splitters)):
-            rows.append([float(r), _herald_groups(u, occ, pattern).record().probability])
+            record = HeraldGroups(*_sector(u, occ), pattern).record()
+            rows.append([float(r), record.probability])
         columns = ["reflectivity", "herald_probability"]
     return Report("sweep", columns, rows, [("steps", sw.steps)], seed)
 
@@ -410,21 +404,17 @@ def _run_monte_carlo(spec: ExperimentSpec, seed: int, trials: int) -> Report:
         ]
         return Report("monte-carlo", ["trial", "success"], rows, agg, seed)
 
-    outcomes, probs = born_table(_evolved(spec))
-    pattern = HeraldPattern(spec.herald) if spec.herald is not None else None
-    pick = born_picker(probs)
     # each outcome's row values, worked out once
-    cells = []
-    for occ in outcomes:
-        row = [" ".join(str(n) for n in occ)]
-        if pattern is not None:
-            row.append(int(all(occ[m] == c for m, c in pattern.counts)))
-        cells.append(row)
+    counts = HeraldPattern(spec.herald).counts if spec.herald is not None else ()
+    sector = _sector(_unitary(spec), tuple(spec.input_occupations))
+    outcomes = list(_kept_rows(sector, counts))
+    pick = born_picker([abs(a) ** 2 for _label, a, _matched in outcomes])
+    cells = [[label, hit] if counts else [label] for label, _a, hit in outcomes]
 
     rows = _trial_rows(seed, trials, lambda rng: cells[pick(rng.random())])
-    columns = ["trial", "outcome"] + (["matched"] if pattern else [])
+    columns = ["trial", "outcome"] + (["matched"] if counts else [])
     agg = [("trials", trials)]
-    if pattern is not None:
+    if counts:
         agg.append(("match_rate", sum(row[2] for row in rows) / trials))
     return Report("monte-carlo", columns, rows, agg, seed)
 
@@ -440,7 +430,8 @@ def hom_report(steps: int = 11, seed: int = 0) -> Report:
         for x in np.linspace(0.0, 1.0, steps)
     ]
     u = compose([beamsplitter(0, 1, 0.5)], 2)
-    record = _herald_groups(u, (1, 1), HeraldPattern.from_dict({0: 1, 1: 1})).record()
+    pattern = HeraldPattern.from_dict({0: 1, 1: 1})
+    record = HeraldGroups(*_sector(u, (1, 1)), pattern).record()
     agg = [("photonic_null_probability", record.probability)]
     return Report("sweep", ["overlap", "coincidence_probability"], rows, agg, seed)
 

@@ -110,6 +110,13 @@ def bell_pair() -> LogicalState:
     return LogicalState._trusted(_BELL_VECTORS[BellLabel.PHI_PLUS], 2)
 
 
+def _forced_index(labels: list, force) -> int | None:
+    """Index of the forced outcome label `force`, None if none is forced."""
+    if force is not None and force not in labels:
+        raise ValueError(f"unknown forced outcome {force!r}")
+    return None if force is None else labels.index(force)
+
+
 def _project_outcomes(
     state: LogicalState,
     qubits: tuple[int, int],
@@ -122,10 +129,8 @@ def _project_outcomes(
     if i == j or not (0 <= i < state.n and 0 <= j < state.n):
         raise ValueError(f"invalid qubit pair {qubits} for {state.n} qubits")
     labels = [label for label, _ in projectors]
-    if force is not None and force not in labels:
-        raise ValueError(f"unknown forced outcome {force!r}")
+    forced = _forced_index(labels, force)
     vectors = [vec for _, vec in projectors]
-    forced = None if force is None else labels.index(force)
     index, residual, _p = project(state.amps, state.n, qubits, vectors, seed, forced)
     return labels[index], LogicalState._trusted(residual, state.n - 2)
 
@@ -323,11 +328,7 @@ def teleported_cnot(
     if control.n != 1 or target.n != 1:
         raise ValueError("teleported_cnot takes two single-qubit states")
     labels = list(_BELL_VECTORS)
-    force = []
-    for f in force_bells or (None, None):
-        if f is not None and f not in labels:
-            raise ValueError(f"unknown forced outcome {f!r}")
-        force.append(None if f is None else labels.index(f))
+    force = [_forced_index(labels, f) for f in force_bells or (None, None)]
     attempts, draws = cnot_draws(rng_from_seed(seed), force_attempts, force)
     out, _labels = teleported_cnot_block(
         control.amps[None], target.amps[None], np.array([draws]), force

@@ -209,6 +209,13 @@ def test_sector_keys_over_cap_rejected_at_parse():
     assert (err.value.line, err.value.col) == (2, 1)
     assert "key entries" in err.value.message
     parse(f"modes 150\ninput 1 1 {' '.join(['0'] * 148)}\n")
+    # a vacuum input has one amplitude, but its spec's mode unitary holds
+    # modes^2 entries, capped at KEY_CAP like a sector's keys
+    parse(f"modes 2000\ninput {' '.join(['0'] * 2000)}\n")
+    with pytest.raises(SpecError) as err:
+        parse(f"modes 2001\ninput {' '.join(['0'] * 2001)}\n")
+    assert (err.value.line, err.value.col) == (2, 1)
+    assert "4004001 entries, cap is 4000000" in err.value.message
 
 
 def test_golden_corpus_round_trips():
@@ -357,7 +364,16 @@ def test_cli_refusals_exit_2(tmp_path, capsys):
     wide.write_text("modes 40\ninput " + " ".join(["1"] * 10 + ["0"] * 30) + "\n")
     edges = tmp_path / "edges.lqs"
     edges.write_text("cluster {\n  nodes 2\n  edges 0-1 1-0\n  measure 0 angle 0\n}\n")
-    for path, where in ((wide, "line 2, col 1"), (edges, "line 3, col 13")):
+    steps = tmp_path / "steps.lqs"
+    steps.write_text(HOM + "sweep eta from 0 to 1 steps 1000000000000\n")
+    vacuum = tmp_path / "vacuum.lqs"  # one sector amplitude, a 60000 x 60000 unitary
+    vacuum.write_text("modes 60000\ninput " + " ".join(["0"] * 60000) + "\n")
+    for path, where in (
+        (wide, "line 2, col 1"),
+        (edges, "line 3, col 13"),
+        (steps, "line 5, col 29"),
+        (vacuum, "line 2, col 1"),
+    ):
         t0 = time.perf_counter()
         assert main(["run", str(path)]) == 2
         assert time.perf_counter() - t0 < 1.0
@@ -533,6 +549,7 @@ def test_cli_subcommands(tmp_path, capsys):
         ["teleport-cnot", "--seed", "-1"],
         ["hom", "--steps", "-2"],
         ["hom", "--steps", "1"],
+        ["hom", "--steps", "1000000000000"],
         ["cnot-herald", "--seed", "-1"],
         ["cluster-demo", "--seed", "-1"],
     ):

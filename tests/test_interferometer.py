@@ -23,6 +23,7 @@ from loqsim.interferometer import (
     compose_sweep,
     compositions,
     element_unitary,
+    evolve_sector,
     hom_coincidence,
     hwp,
     pbs,
@@ -146,6 +147,15 @@ def test_occupation_table_is_one_shared_read_only_array():
     assert not occ.flags.writeable
     with pytest.raises(ValueError):
         occ[0, 0] = 1
+
+
+def test_evolve_sector_returns_its_cached_table_and_the_permanent_amplitudes():
+    u = compose([beamsplitter(0, 1, 0.3), beamsplitter(1, 2, 0.6), phase(2, 0.4)], 3)
+    occ, amps = evolve_sector(u, 3, [((2, 1, 0), 1.0 + 0j)])
+    assert occ is _occupations(3, 3) and amps.shape == (occ.shape[1],)
+    want = ryser_apply(u, make_basis_state([2, 1, 0]))
+    for key, amp in zip(_table_keys(occ), amps.tolist()):
+        assert abs(amp - want.amplitude(key)) < 1e-12
 
 
 def test_non_unitary_rejected():
@@ -391,6 +401,14 @@ def test_apply_refuses_oversized_keys(monkeypatch):
     monkeypatch.setattr("loqsim.interferometer._raising_tables", no_work)
     with pytest.raises(ValueError, match=f"key entries, cap is {KEY_CAP}"):
         apply(u, state)
+
+
+def test_apply_evolves_a_caller_built_unitary_past_the_spec_unitary_cap():
+    # a spec's mode unitary is capped at KEY_CAP entries; a library caller
+    # that already holds a larger one can still evolve the vacuum through it
+    modes = math.isqrt(KEY_CAP) + 1
+    u = ModeUnitary(np.eye(modes, dtype=complex))
+    assert apply(u, make_basis_state([0] * modes)) == make_basis_state([0] * modes)
 
 
 def test_apply_refuses_lost_precision(tmp_path, capsys):

@@ -13,7 +13,10 @@ before the teleported CNOT ran on blocks of trials.  Floats agree to
 1e-12.  Two reports were captured before the trials' streams were
 hashed in blocks, at seeds of two and three 32-bit words: a 200-trial
 `teleport-cnot` report, and a sampling report in CSV, pinned byte for
-byte as its lines.
+byte as its lines.  A heralded sampling report, in JSON and byte for byte
+in CSV, was captured before the sampler read its outcomes straight from
+the evolved sector: its `matched` column takes both values, and one
+output occupation (the HOM-suppressed `|1 1>`) is pruned.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ def test_pinned_set_covers_every_monte_carlo_mode():
     modes = {tuple(c["report"]["columns"]) for c in MONTE_CARLO}
     assert modes == {
         ("trial", "outcome"),
+        ("trial", "outcome", "matched"),
         ("trial", "success"),
         ("trial", "outcomes"),
         ("trial", "attempts", "pairs", "overlap"),
