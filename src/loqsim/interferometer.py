@@ -25,11 +25,12 @@ where U[S, T] repeats column i S_i times and row j T_j times.
 `evolve_sector` computes the same amplitudes for a whole photon-number
 sector at once, without a permanent per output: it expands the creation
 operators sum_j U[j, i] a_j^dagger of the input photons one at a time
-from the vacuum, each step one vectorized pass per mode over index tables
-cached per (photons, modes).  It returns the sector as (occ, amps), the
-one sector format that heralds, reports and samplers read: occ is the
-sector's cached read-only table, occ[j, t] the count of mode j in row t
-(rows in lexicographic order), and amps[t] the amplitude of row t.
+from the vacuum, each step one scatter-add per block of output modes
+over index tables cached per (photons, modes).  It returns the sector as
+(occ, amps), the one sector format that heralds, reports and samplers
+read: occ is the sector's cached read-only table, occ[j, t] the count of
+mode j in row t (rows in lexicographic order), and amps[t] the amplitude
+of row t.
 `evolve_table` joins the pairs of a state's sectors by photon number and
 `apply` keys them into a `PhotonicState`.  Evolution is deterministic
 and exactly number-conserving.  `permanent` stays for single amplitudes.
@@ -58,6 +59,10 @@ KEY_CAP = 20 * SECTOR_CAP  # entries over all occupation keys of one sector
 # above rounding (~1e-14 at desk scale), below what tens of photons
 # bunched in one mode reach (rounding errors grow up to sqrt(n!/prod S_i!)).
 PRECISION_TOL = 1e-8
+# Entries in one block of output modes when `evolve_sector` creates a
+# photon; a sector larger than this goes one mode per block, so no
+# temporary outgrows one sector.
+_CREATE_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +377,8 @@ def _raising_tables(photons: int, modes: int) -> tuple[np.ndarray, np.ndarray]:
     i of N(R_i, m - i) - N(R_(i+1), m - i), so adding a photon in mode j
     raises the rank by the sum over i <= j of
     N(R_i, m - i - 1) - [i >= 1] N(R_i, m - i), with R taken for S + e_j.
-    One pass over the sector per mode keeps every temporary one sector
-    long.
+    The tables are built one pass over the sector per mode, so every
+    temporary stays one sector long.
     """
     occ = _occupations(photons, modes)
     n_table = np.array(
@@ -414,15 +419,20 @@ def evolve_sector(
 
         v'[S + e_j] += U[j, i] * sqrt(S_j + 1) / sqrt(c) * v[S],
 
-    one vectorized pass per output mode j.  The 1/sqrt(c) factors make up
-    1/sqrt(prod_i S_i!), so every intermediate vector keeps the input
-    amplitude's norm.  A sector that `check_sector_size` refuses is
+    one `np.add.at` per block of output modes j (as many as fit in
+    _CREATE_BLOCK entries, at least one).  It adds in ascending j for
+    every target, and each product is taken on flat arrays (`v` repeated,
+    not broadcast), so every amplitude is bit-identical to a loop over j
+    (kept in `tests/conftest.py` as a reference).  The 1/sqrt(c) factors
+    make up 1/sqrt(prod_i S_i!), so every intermediate vector keeps the
+    input amplitude's norm.  A sector that `check_sector_size` refuses is
     refused before any work, and one whose norm drifts by more than
     PRECISION_TOL after it.
     """
     m = u.dim
     check_sector_size(photons, m)
     total = np.zeros(sector_size(photons, m), dtype=complex)
+    roots = np.sqrt(np.arange(1, photons + 1))  # roots[s] = sqrt(s + 1)
     for occ, amp in terms:
         v = np.array([amp])
         k = 0
@@ -430,10 +440,13 @@ def evolve_sector(
             for c in range(1, count + 1):
                 occupied, up = _raising_tables(k, m)
                 weights = u.matrix[:, col] / math.sqrt(c)
-                roots = np.sqrt(np.arange(1, k + 2))
                 raised = np.zeros(sector_size(k + 1, m), dtype=complex)
-                for j in range(m):
-                    raised[up[j]] += weights[j] * roots[occupied[j]] * v
+                step = max(1, _CREATE_BLOCK // len(v))
+                for j in range(0, m, step):
+                    rows = slice(j, j + step)
+                    part = (weights[rows, None] * roots.take(occupied[rows])).ravel()
+                    tiled = v[None].repeat(len(part) // len(v), 0).ravel()
+                    np.add.at(raised, up[rows].ravel(), part * tiled)
                 v = raised
                 k += 1
         total += v

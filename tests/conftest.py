@@ -21,7 +21,13 @@ from loqsim.detection import (
 )
 from loqsim.encoding import LogicalState
 from loqsim.fock import PhotonicState
-from loqsim.interferometer import ModeUnitary, compositions, permanent
+from loqsim.interferometer import (
+    ModeUnitary,
+    _raising_tables,
+    compositions,
+    permanent,
+    sector_size,
+)
 from loqsim.teleport import (
     _CORRECTION_FOR,
     PauliCorrection,
@@ -122,6 +128,33 @@ def ryser_apply(u: ModeUnitary, state: PhotonicState) -> PhotonicState:
                 if contrib != 0j:
                     out[t_occ] = out.get(t_occ, 0j) + contrib
     return PhotonicState(m, out)
+
+
+def per_mode_evolve_sector(u: ModeUnitary, photons: int, terms) -> np.ndarray:
+    """A sector's amplitudes, creating each photon one output mode at a time.
+
+    The loop that `evolve_sector` replaced with one scatter-add per block
+    of output modes: for the c-th photon of input mode i, every output
+    mode j adds U[j, i] * sqrt(S_j + 1) / sqrt(c) * v[S] to v'[S + e_j],
+    in ascending j, over the same raising tables.
+    """
+    m = u.dim
+    total = np.zeros(sector_size(photons, m), dtype=complex)
+    for occ, amp in terms:
+        v = np.array([amp])
+        k = 0
+        for col, count in enumerate(occ):
+            for c in range(1, count + 1):
+                occupied, up = _raising_tables(k, m)
+                weights = u.matrix[:, col] / math.sqrt(c)
+                roots = np.sqrt(np.arange(1, k + 2))
+                raised = np.zeros(sector_size(k + 1, m), dtype=complex)
+                for j in range(m):
+                    raised[up[j]] += weights[j] * roots[occupied[j]] * v
+                v = raised
+                k += 1
+        total += v
+    return total
 
 
 def reference_groups(state: PhotonicState, modes) -> dict:

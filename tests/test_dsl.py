@@ -368,8 +368,11 @@ def test_cli_refusals_exit_2(tmp_path, capsys):
     steps.write_text(HOM + "sweep eta from 0 to 1 steps 1000000000000\n")
     vacuum = tmp_path / "vacuum.lqs"  # one sector amplitude, a 60000 x 60000 unitary
     vacuum.write_text("modes 60000\ninput " + " ".join(["0"] * 60000) + "\n")
+    nodes = tmp_path / "nodes.lqs"
+    nodes.write_text(_cluster_text(40))
     for path, where in (
         (wide, "line 2, col 1"),
+        (nodes, "line 2, col 3: cluster has 40 nodes, cap is 20"),
         (edges, "line 3, col 13"),
         (steps, "line 5, col 29"),
         (vacuum, "line 2, col 1"),
@@ -379,6 +382,21 @@ def test_cli_refusals_exit_2(tmp_path, capsys):
         assert time.perf_counter() - t0 < 1.0
         err = capsys.readouterr().err
         assert where in err and "Traceback" not in err, err
+
+
+def _cluster_text(nodes: int) -> str:
+    return f"cluster {{\n  nodes {nodes}\n  edges 0-1 1-2\n  measure 0 angle 10\n}}\n"
+
+
+def test_cluster_over_node_cap_refused_at_parse():
+    from loqsim.cluster import NODE_CAP
+
+    assert parse(_cluster_text(NODE_CAP)).cluster.node_count == NODE_CAP
+    for n in (NODE_CAP + 1, 40):
+        with pytest.raises(SpecError) as err:
+            parse(_cluster_text(n))
+        assert (err.value.line, err.value.col) == (2, 3)
+        assert err.value.message == f"cluster has {n} nodes, cap is {NODE_CAP}"
 
 
 def test_herald_in_gate_experiment_refused(tmp_path, capsys):

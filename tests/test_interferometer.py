@@ -39,6 +39,7 @@ from conftest import (
     brute_force_apply,
     mesh_spec,
     naive_permanent,
+    per_mode_evolve_sector,
     random_unitary,
     ryser_apply,
 )
@@ -156,6 +157,47 @@ def test_evolve_sector_returns_its_cached_table_and_the_permanent_amplitudes():
     want = ryser_apply(u, make_basis_state([2, 1, 0]))
     for key, amp in zip(_table_keys(occ), amps.tolist()):
         assert abs(amp - want.amplitude(key)) < 1e-12
+
+
+def _random_terms(rng, modes: int, photons: int, count: int) -> list:
+    """`count` distinct random occupations of one sector with random amplitudes."""
+    terms = {}
+    while len(terms) < min(count, sector_size(photons, modes)):
+        occ = np.bincount(rng.integers(modes, size=photons), minlength=modes)
+        terms[tuple(occ.tolist())] = complex(rng.normal(), rng.normal())
+    return list(terms.items())
+
+
+def _assert_bit_identical(u, photons, terms):
+    occ, amps = evolve_sector(u, photons, terms)
+    want = per_mode_evolve_sector(u, photons, terms)
+    assert amps.shape == want.shape == (occ.shape[1],)
+    assert np.array_equal(amps.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "modes, photons",
+    [(1, 0), (1, 1), (1, 5), (2, 3), (3, 4), (8, 4), (16, 5), (16, 6), (40, 2)],
+)
+def test_evolve_sector_is_bit_identical_to_the_per_mode_loop(rng, modes, photons):
+    # 16/5 takes blocks of 5 modes (816-row sector) and one mode per block
+    # at 3876 rows, 16/6 goes one mode per block past _CREATE_BLOCK, and
+    # 1 mode makes every product a single entry
+    for count in (1, 3):
+        for _ in range(4 if modes == 1 else 1):
+            u = ModeUnitary(random_unitary(rng, modes))
+            _assert_bit_identical(u, photons, _random_terms(rng, modes, photons, count))
+
+
+@pytest.mark.parametrize("block", [1, 7, 30, 64, 500])
+def test_evolve_sector_blocks_of_any_size_are_bit_identical(rng, monkeypatch, block):
+    # small blocks put the one-mode-per-block boundary and ragged last
+    # blocks inside desk-scale sectors
+    monkeypatch.setattr("loqsim.interferometer._CREATE_BLOCK", block)
+    for modes, photons in [(1, 3), (5, 3), (7, 4), (9, 2)]:
+        u = ModeUnitary(random_unitary(rng, modes))
+        for count in (1, 4):
+            _assert_bit_identical(u, photons, _random_terms(rng, modes, photons, count))
 
 
 def test_non_unitary_rejected():
