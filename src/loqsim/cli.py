@@ -7,10 +7,10 @@
     loqsim cluster-demo [--alpha A] [--beta B] [--gamma G] ...
 
 Exit codes: 0 on success, 2 on experiment-description errors (and on
---trials < 1, --seed < 0, --steps < 2 or over SECTOR_CAP, a non-finite
-cluster-demo angle or --trials on a sweep spec), 1 on runtime errors.  A
-description error prints as `FILE: line L, col C: message`, whether the
-parser or the run found it.
+--trials < 1, --seed < 0, --steps < 2, --trials or --steps over
+SECTOR_CAP, a non-finite cluster-demo angle or --trials on a sweep
+spec), 1 on runtime errors.  A description error prints as
+`FILE: line L, col C: message`, whether the parser or the run found it.
 """
 
 from __future__ import annotations
@@ -49,12 +49,10 @@ def _checked(kind, ok, rule: str):
     return convert
 
 
-def _int_at_least(minimum: int):
-    return _checked(int, lambda value: value >= minimum, f">= {minimum}")
-
-
+_seed = _checked(int, lambda value: value >= 0, ">= 0")
 _finite_float = _checked(float, math.isfinite, "finite")
 _steps = _checked(int, lambda value: 2 <= value <= SECTOR_CAP, f">= 2 and <= {SECTOR_CAP}")
+_trials = _checked(int, lambda value: 1 <= value <= SECTOR_CAP, f">= 1 and <= {SECTOR_CAP}")
 
 
 @functools.cache
@@ -68,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=_int_at_least(0), help="override the RNG seed")
+        p.add_argument("--seed", type=_seed, help="override the RNG seed")
         p.add_argument(
             "--format", choices=("json", "csv"), default=None, help="output format"
         )
@@ -76,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment description file")
     p_run.add_argument("file", type=Path)
-    p_run.add_argument("--trials", type=_int_at_least(1), help="override trial count")
+    p_run.add_argument("--trials", type=_trials, help="override trial count")
     common(p_run)
 
     p_hom = sub.add_parser("hom", help="two-photon coincidence vs overlap")
@@ -87,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_cnot)
 
     p_tc = sub.add_parser("teleport-cnot", help="teleported-CNOT resource Monte Carlo")
-    p_tc.add_argument("--trials", type=_int_at_least(1), default=10000)
+    p_tc.add_argument("--trials", type=_trials, default=10000)
     common(p_tc)
 
     p_cd = sub.add_parser("cluster-demo", help="5-node linear-cluster rotation")

@@ -29,7 +29,8 @@ never a crash.  Counts and indices are integers >= 0; numbers are
 finite.  An `input` whose sector `interferometer.check_sector_size`
 refuses, or whose mode unitary would hold over KEY_CAP entries, is
 refused at its token, as is a cluster of over `cluster.NODE_CAP` nodes,
-a cluster edge listed twice or a sweep of over SECTOR_CAP steps.
+a cluster edge listed twice, a sweep of over SECTOR_CAP steps or a
+run of over SECTOR_CAP trials.
 A spec runs in exactly one mode: `sweep` and `trials` are mutually
 exclusive; with neither, it is a single deterministic run.  A `gate`
 brings its own herald, so a gate experiment that also declares `herald`
@@ -337,6 +338,8 @@ class _Parser:
         self._no_dup(self.trials, "trials", line, toks[0][1])
         _need(toks, 3, line, "trials")
         n = _as_int(toks[1][0], line, toks[1][1], "trial count", minimum=1)
+        if n > SECTOR_CAP:
+            raise SpecError(f"trial count must be <= {SECTOR_CAP}, got {n}", line, toks[1][1])
         if toks[2][0] != "seed":
             raise SpecError("trials syntax is: trials N seed S", line, toks[2][1])
         s = _as_int(toks[3][0], line, toks[3][1], "seed")

@@ -15,6 +15,12 @@ Mode-matrix conventions (fixed for the whole package):
     V (swaps modes 2a+1 and 2b+1).
   * swap(a, b): mode permutation.
 
+`compose` multiplies an element list into one mode unitary.  It starts
+from the identity, and each element updates only the rows it touches: a
+phase scales one row, a pbs exchanges its two V rows, and a two-mode
+block recombines two rows.  A network of E elements on m modes costs
+O(E * m), and only the product is checked for unitarity.
+
 A photon in mode i is sent to sum_j U[j, i] |j>, so single-photon
 amplitudes transform as an ordinary matrix-vector product.  Multi-photon
 transition amplitudes are matrix permanents:
@@ -46,7 +52,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -174,62 +180,31 @@ def _two_mode_block(kind: str, value: float) -> np.ndarray:
     raise ValueError(f"unknown two-mode element kind {kind!r}")
 
 
-def element_unitary(element: OpticalElement, total_modes: int) -> ModeUnitary:
-    """Embed one element into the identity on `total_modes` modes."""
-    return ModeUnitary(_element_matrix(element, total_modes))
-
-
-def _element_matrix(element: OpticalElement, total_modes: int) -> np.ndarray:
-    """Unchecked matrix of one element: unitary by construction."""
-    if any(m >= total_modes for m in element.modes):
-        raise ValueError(
-            f"element touches mode {max(element.modes)} but only "
-            f"{total_modes} modes are declared"
-        )
-    u = np.eye(total_modes, dtype=complex)
-    if element.kind == "phase":
-        u[element.modes[0], element.modes[0]] = cmath.exp(1j * element.value)
-    elif element.kind == "pbs":
-        ha, va, hb, vb = element.modes
-        # H transmits, V reflects across the two spatial ports
-        u[va, va] = u[vb, vb] = 0.0
-        u[va, vb] = u[vb, va] = 1.0
-    else:
-        block = _two_mode_block(element.kind, element.value)
-        a, b = element.modes
-        u[a, a], u[a, b] = block[0, 0], block[0, 1]
-        u[b, a], u[b, b] = block[1, 0], block[1, 1]
-    return u
-
-
 def compose(elements: Sequence[OpticalElement], total_modes: int) -> ModeUnitary:
-    """Product unitary of an element list, leftmost element applied first;
-    only the product is validated."""
+    """Product unitary of an element list, leftmost element applied first.
+
+    Each element updates only the rows it touches, so a network costs
+    O(elements * total_modes); only the product is validated.
+    """
     u = np.eye(total_modes, dtype=complex)
     for e in elements:
-        u = _element_matrix(e, total_modes) @ u
+        if max(e.modes) >= total_modes:
+            raise ValueError(
+                f"element touches mode {max(e.modes)} but only "
+                f"{total_modes} modes are declared"
+            )
+        if e.kind == "phase":
+            u[e.modes[0]] *= cmath.exp(1j * e.value)
+        elif e.kind == "pbs":
+            # H transmits, V reflects across the two spatial ports
+            _ha, va, _hb, vb = e.modes
+            u[[va, vb]] = u[[vb, va]]
+        else:
+            (p, q), (r, s) = _two_mode_block(e.kind, e.value).tolist()
+            a, b = e.modes
+            row_a, row_b = u[a], u[b]
+            u[a], u[b] = p * row_a + q * row_b, r * row_a + s * row_b
     return ModeUnitary(u)
-
-
-def compose_sweep(
-    elements: Sequence[OpticalElement],
-    total_modes: int,
-    index: int,
-    replacements: Iterable[OpticalElement],
-) -> Iterator[ModeUnitary]:
-    """compose(elements) with elements[index] replaced by each replacement
-    in turn.  The other elements' matrices and the product before `index`
-    are built once; each unitary multiplies in the same order as
-    `compose`, so it is bit-identical to composing the edited list."""
-    matrices = [_element_matrix(e, total_modes) for e in elements]
-    prefix = np.eye(total_modes, dtype=complex)
-    for matrix in matrices[:index]:
-        prefix = matrix @ prefix
-    for element in replacements:
-        u = _element_matrix(element, total_modes) @ prefix
-        for matrix in matrices[index + 1:]:
-            u = matrix @ u
-        yield ModeUnitary(u)
 
 
 def rotation_elements(

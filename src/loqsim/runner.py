@@ -32,11 +32,11 @@ from .encoding import LogicalState, QubitEncoding, decode, outer
 from .fock import PRUNE_THRESHOLD, PhotonicState, make_basis_state
 from .heralded import HeraldedGate, klm_cnot, run_photonic
 from .interferometer import (
+    SECTOR_CAP,
     ModeUnitary,
     apply,
     beamsplitter,
     compose,
-    compose_sweep,
     evolve_sector,
     hom_coincidence,
     hwp,
@@ -204,6 +204,8 @@ def _checked_trials(trials: int) -> int:
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > SECTOR_CAP:
+        raise ValueError(f"trials must be <= {SECTOR_CAP}, got {trials}")
     return trials
 
 
@@ -350,9 +352,10 @@ def _run_sweep(spec: ExperimentSpec, seed: int) -> Report:
         splitter_indices = [i for i, e in enumerate(elements) if e.kind == "bs"]
         index = splitter_indices[int(sw.param[1:])]
         a, b = elements[index].modes
-        splitters = (beamsplitter(a, b, float(r)) for r in values)
         pattern = HeraldPattern(spec.herald)
-        for r, u in zip(values, compose_sweep(elements, spec.modes, index, splitters)):
+        for r in values:
+            elements[index] = beamsplitter(a, b, float(r))
+            u = compose(elements, spec.modes)
             record = HeraldGroups(*_sector(u, occ), pattern).record()
             rows.append([float(r), record.probability])
         columns = ["reflectivity", "herald_probability"]

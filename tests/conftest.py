@@ -157,6 +157,50 @@ def per_mode_evolve_sector(u: ModeUnitary, photons: int, terms) -> np.ndarray:
     return total
 
 
+def _dense_element(element, total_modes: int) -> np.ndarray:
+    """One element as a dense matrix, written out from the conventions in
+    the `interferometer` module docstring."""
+    u = np.eye(total_modes, dtype=complex)
+    kind, modes, value = element.kind, element.modes, element.value
+    if kind == "phase":
+        u[modes[0], modes[0]] = np.exp(1j * value)
+        return u
+    if kind == "pbs":
+        _ha, va, _hb, vb = modes
+        u[va, va] = u[vb, vb] = 0.0
+        u[va, vb] = u[vb, va] = 1.0
+        return u
+    if kind == "bs":
+        t, r = math.sqrt(1.0 - value), math.sqrt(value)
+        block = [[t, 1j * r], [1j * r, t]]
+    elif kind == "hwp":
+        c, s = math.cos(2 * value), math.sin(2 * value)
+        block = [[c, s], [s, -c]]
+    elif kind == "qwp":
+        # R(theta) diag(1, i) R(theta)^T, multiplied out
+        c, s = math.cos(value), math.sin(value)
+        block = [[c * c + 1j * s * s, (1 - 1j) * c * s], [(1 - 1j) * c * s, s * s + 1j * c * c]]
+    elif kind == "swap":
+        block = [[0, 1], [1, 0]]
+    else:
+        raise ValueError(f"unknown element kind {kind!r}")
+    a, b = modes
+    u[np.ix_([a, b], [a, b])] = block
+    return u
+
+
+def dense_compose(elements, total_modes: int) -> np.ndarray:
+    """The product of dense element matrices, leftmost element applied first.
+
+    The composition that `compose` replaced with updates of the rows each
+    element touches: one m x m matrix per element, O(m^3) each.
+    """
+    u = np.eye(total_modes, dtype=complex)
+    for e in elements:
+        u = _dense_element(e, total_modes) @ u
+    return u
+
+
 def reference_groups(state: PhotonicState, modes) -> dict:
     """Terms grouped by their counts on the measured modes, one term at a
     time in the state's term order: {counts: {rest occupation: amplitude}}."""

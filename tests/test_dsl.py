@@ -21,6 +21,7 @@ from loqsim.dsl import (
     parse,
     serialize,
 )
+from loqsim.interferometer import SECTOR_CAP
 from loqsim.runner import format_report, run
 
 DATA = Path(__file__).parent / "data"
@@ -353,6 +354,7 @@ def test_cli_run_exit_codes(tmp_path, capsys):
         [str(good), "--seed", "-1"],
         [cluster, "--seed", "-1"],
         [str(good), "--trials", "x"],
+        [str(good), "--trials", "10000000"],
     ):
         _assert_usage_error(main, ["run", *argv], capsys)
 
@@ -366,6 +368,8 @@ def test_cli_refusals_exit_2(tmp_path, capsys):
     edges.write_text("cluster {\n  nodes 2\n  edges 0-1 1-0\n  measure 0 angle 0\n}\n")
     steps = tmp_path / "steps.lqs"
     steps.write_text(HOM + "sweep eta from 0 to 1 steps 1000000000000\n")
+    trials = tmp_path / "trials.lqs"
+    trials.write_text(HOM + "trials 10000000 seed 1\n")
     vacuum = tmp_path / "vacuum.lqs"  # one sector amplitude, a 60000 x 60000 unitary
     vacuum.write_text("modes 60000\ninput " + " ".join(["0"] * 60000) + "\n")
     nodes = tmp_path / "nodes.lqs"
@@ -375,6 +379,7 @@ def test_cli_refusals_exit_2(tmp_path, capsys):
         (nodes, "line 2, col 3: cluster has 40 nodes, cap is 20"),
         (edges, "line 3, col 13"),
         (steps, "line 5, col 29"),
+        (trials, "line 5, col 8: trial count must be <= 200000, got 10000000"),
         (vacuum, "line 2, col 1"),
     ):
         t0 = time.perf_counter()
@@ -461,6 +466,17 @@ def test_library_trials_below_one_refused():
         with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
             run(spec, trials=trials)
         with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            teleport_cnot_report(trials, 3)
+
+
+def test_library_trials_over_cap_refused():
+    from loqsim.runner import teleport_cnot_report
+
+    spec = parse((DATA / "hom_null.lqs").read_text())
+    for trials in (SECTOR_CAP + 1, 10_000_000):
+        with pytest.raises(ValueError, match=f"trials must be <= {SECTOR_CAP}, got {trials}"):
+            run(spec, trials=trials)
+        with pytest.raises(ValueError, match=f"trials must be <= {SECTOR_CAP}, got {trials}"):
             teleport_cnot_report(trials, 3)
 
 
@@ -564,6 +580,7 @@ def test_cli_subcommands(tmp_path, capsys):
     for argv in (
         ["teleport-cnot", "--trials", "0"],
         ["teleport-cnot", "--trials", "-3"],
+        ["teleport-cnot", "--trials", "10000000"],
         ["teleport-cnot", "--seed", "-1"],
         ["hom", "--steps", "-2"],
         ["hom", "--steps", "1"],
@@ -608,7 +625,7 @@ def _elements(modes: int):
 
 def _trials(draw):
     if draw(st.booleans()):
-        return {"trials": draw(st.integers(1, 10**6)), "seed": draw(st.integers(0, 2**63))}
+        return {"trials": draw(st.integers(1, SECTOR_CAP)), "seed": draw(st.integers(0, 2**63))}
     return {}
 
 

@@ -1,6 +1,8 @@
 import json
 import math
+import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loqsim.dsl import parse
 from loqsim.fock import PhotonicState, make_basis_state, superpose, total_photon_number
 from loqsim.interferometer import (
     KEY_CAP,
@@ -20,9 +23,7 @@ from loqsim.interferometer import (
     beamsplitter,
     check_sector_size,
     compose,
-    compose_sweep,
     compositions,
-    element_unitary,
     evolve_sector,
     hom_coincidence,
     hwp,
@@ -34,9 +35,11 @@ from loqsim.interferometer import (
     sector_size,
     swap,
 )
+from loqsim.runner import run
 
 from conftest import (
     brute_force_apply,
+    dense_compose,
     mesh_spec,
     naive_permanent,
     per_mode_evolve_sector,
@@ -44,6 +47,7 @@ from conftest import (
     ryser_apply,
 )
 
+DATA = Path(__file__).parent / "data"
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]]) * SQRT_HALF
 
@@ -53,41 +57,41 @@ HADAMARD = np.array([[1, 1], [1, -1]]) * SQRT_HALF
 # ---------------------------------------------------------------------------
 
 def test_hwp_hadamard():
-    u = element_unitary(hwp(0, math.radians(22.5)), 2)
+    u = compose([hwp(0, math.radians(22.5))], 2)
     assert np.abs(u.matrix - HADAMARD).max() < 1e-12
 
 
 def test_hwp_45_swaps_h_and_v():
-    u = element_unitary(hwp(0, math.radians(45.0)), 2)
+    u = compose([hwp(0, math.radians(45.0))], 2)
     assert np.abs(u.matrix - np.array([[0, 1], [1, 0]])).max() < 1e-12
 
 
 def test_bs_zero_reflectivity_is_identity():
-    u = element_unitary(beamsplitter(0, 1, 0.0), 2)
+    u = compose([beamsplitter(0, 1, 0.0)], 2)
     assert np.abs(u.matrix - np.eye(2)).max() < 1e-12
 
 
 def test_bs_convention():
-    u = element_unitary(beamsplitter(0, 1, 0.5), 2)
+    u = compose([beamsplitter(0, 1, 0.5)], 2)
     expected = SQRT_HALF * np.array([[1, 1j], [1j, 1]])
     assert np.abs(u.matrix - expected).max() < 1e-12
 
 
 def test_pbs_transmits_h_reflects_v():
-    u = element_unitary(pbs(0, 1), 4).matrix
+    u = compose([pbs(0, 1)], 4).matrix
     assert u[0, 0] == 1 and u[2, 2] == 1  # H rails transmitted
     assert u[3, 1] == 1 and u[1, 3] == 1  # V rails swapped
     assert u[1, 1] == 0 and u[3, 3] == 0
 
 
 def test_swap_element():
-    u = element_unitary(swap(0, 2), 3).matrix
+    u = compose([swap(0, 2)], 3).matrix
     assert u[2, 0] == 1 and u[0, 2] == 1 and u[1, 1] == 1
 
 
 def test_element_mode_out_of_range():
-    with pytest.raises(ValueError):
-        element_unitary(beamsplitter(0, 5, 0.5), 2)
+    with pytest.raises(ValueError, match="element touches mode 5 but only 2 modes are declared"):
+        compose([phase(1, 0.3), beamsplitter(0, 5, 0.5)], 2)
 
 
 def test_bad_reflectivity():
@@ -115,7 +119,8 @@ def test_compose_two_balanced_bs():
 
 
 def test_compose_empty_is_identity():
-    assert np.abs(compose([], 3).matrix - np.eye(3)).max() == 0.0
+    for modes in (0, 1, 3, 16):
+        assert np.array_equal(compose([], modes).matrix, np.eye(modes))
 
 
 def test_compose_two_pi_phases():
@@ -123,22 +128,96 @@ def test_compose_two_pi_phases():
     assert np.abs(u - np.eye(2)).max() < 1e-12
 
 
-def test_compose_sweep_is_bit_identical_to_compose(rng):
-    modes = 6
+def _random_network(rng, modes: int, length: int, kinds) -> list:
+    """`length` elements of the given kinds on random modes of `modes`."""
     elements = []
-    for layer in range(4):
-        for a in range(layer % 2, modes - 1, 2):
-            elements.append(beamsplitter(a, a + 1, float(rng.uniform(0.05, 0.95))))
-            elements.append(phase(a, float(rng.uniform(0.0, 2 * math.pi))))
-    for index in (0, 6, len(elements) - 2):
-        a, b = elements[index].modes
-        values = np.linspace(0.0, 1.0, 7)
-        splitters = [beamsplitter(a, b, float(r)) for r in values]
-        swept = list(compose_sweep(elements, modes, index, splitters))
-        assert len(swept) == len(splitters)
-        for u, splitter in zip(swept, splitters):
-            edited = elements[:index] + [splitter] + elements[index + 1:]
-            assert np.array_equal(u.matrix, compose(edited, modes).matrix)
+    for kind in rng.choice(kinds, size=length):
+        value = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+        if kind == "phase":
+            elements.append(phase(int(rng.integers(modes)), value))
+        elif kind in ("bs", "swap"):
+            a, b = (int(x) for x in rng.choice(modes, size=2, replace=False))
+            elements.append(
+                beamsplitter(a, b, float(rng.uniform())) if kind == "bs" else swap(a, b)
+            )
+        elif kind == "pbs":
+            pair_a, pair_b = (int(x) for x in rng.choice(modes // 2, size=2, replace=False))
+            elements.append(pbs(pair_a, pair_b))
+        else:
+            plate = hwp if kind == "hwp" else qwp
+            elements.append(plate(int(rng.integers(modes // 2)), value))
+    return elements
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 5, 8, 10, 16])
+def test_compose_matches_the_dense_product(rng, modes):
+    kinds = ["phase"] + ["bs", "swap", "hwp", "qwp"] * (modes >= 2) + ["pbs"] * (modes >= 4)
+    for length in range(0, 4 * modes + 8, 2):
+        elements = _random_network(rng, modes, length, kinds)
+        got = compose(elements, modes).matrix
+        assert np.abs(got - dense_compose(elements, modes)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("modes", [4, 9, 16])
+def test_compose_of_permutations_is_exact(rng, modes):
+    for length in range(1, 30):
+        elements = _random_network(rng, modes, length, ["swap", "pbs"])
+        assert np.array_equal(compose(elements, modes).matrix, dense_compose(elements, modes))
+
+
+def _edited_single_run(text: str, index: int, reflectivity: float) -> float:
+    """Herald probability of `text` run once, its sweep line removed and
+    its `index`-th splitter set to `reflectivity`."""
+    lines = [line for line in text.splitlines() if not line.startswith("sweep")]
+    splitter_lines = [i for i, line in enumerate(lines) if line.startswith("bs ")]
+    _bs, a, b, _r = lines[splitter_lines[index]].split()
+    lines[splitter_lines[index]] = f"bs {a} {b} {reflectivity!r}"
+    report = run(parse("\n".join(lines) + "\n"))
+    assert report.mode == "single" and len(report.rows) == 1
+    return report.rows[0][0]
+
+
+@pytest.mark.parametrize("name", ["mesh_8x4", "hom_reflectivity.lqs"])
+def test_r_sweep_rows_are_single_runs_of_the_edited_spec(name):
+    if name == "mesh_8x4":
+        text = mesh_spec(random.Random(16), 8, [1, 0, 2, 0, 0, 1, 0, 0])
+        text += "herald 1=1 3=0 6=1\nsweep r11 from 0.05 to 0.95 steps 6\n"
+    else:
+        text = (DATA / name).read_text()
+    spec = parse(text)
+    report = run(spec)
+    assert len(report.rows) == spec.sweep.steps
+    index = int(spec.sweep.param[1:])
+    assert any(probability > 0.0 for _r, probability in report.rows)
+    for reflectivity, probability in report.rows:
+        single = _edited_single_run(text, index, reflectivity)
+        assert single.hex() == probability.hex(), (reflectivity, single, probability)
+
+
+def test_compose_600_modes_within_budget(rng):
+    elements = []
+    for _ in range(200):
+        a, b = (int(x) for x in rng.choice(600, size=2, replace=False))
+        elements.append(beamsplitter(a, b, float(rng.uniform())))
+    t0 = time.perf_counter()
+    u = compose(elements, 600)
+    elapsed = time.perf_counter() - t0
+    assert u.dim == 600
+    assert elapsed < 1.0, f"composing 200 splitters on 600 modes took {elapsed:.2f}s"
+
+
+def test_wide_r_sweep_with_herald_runs(tmp_path, capsys):
+    from loqsim.cli import main
+
+    lines = ["modes 600", "input 1" + " 0" * 599]
+    lines += [f"bs {k} {k + 1} 0.{k % 9 + 1}" for k in range(10)]
+    lines += [f"bs {k} {599 - k} 0.5" for k in range(10)]
+    lines += ["herald 1=1 598=0", "sweep r3 from 0 to 1 steps 6"]
+    path = tmp_path / "wide.lqs"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["run", str(path)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 6 and all(0.0 <= p <= 1.0 for _r, p in rows)
 
 
 def test_occupation_table_is_one_shared_read_only_array():
@@ -332,7 +411,7 @@ def test_composition_homomorphism(rng):
     b = beamsplitter(1, 2, 0.7)
     state = make_basis_state([1, 1, 0]).normalized()
     combined = apply(compose([a, b], 3), state)
-    stepwise = apply(element_unitary(b, 3), apply(element_unitary(a, 3), state))
+    stepwise = apply(compose([b], 3), apply(compose([a], 3), state))
     for occ in compositions(2, 3):
         assert abs(combined.amplitude(occ) - stepwise.amplitude(occ)) < 1e-10
 

@@ -32,8 +32,8 @@ from conftest import mesh_spec, reference_csv_text
 PINNED_SHA256 = {
     "mesh_10x5": (
         mesh_spec(random.Random(10), 10, [1] * 5 + [0] * 5),
-        "017f1d0f3122ec57577f53d59eeb1e5c1e40ca96e762cc3294ee5ec737438561",
-        "ce53c5bb5aa521dc50c34fbd02574bb0dfa381cc1a49cc00cb545a8c066b7d9f",
+        "90aa07cfd605f654ffdbc7b3a0f675806d82fcacf530639e8c78586ad802576f",
+        "54ba737856f13e6c9a72cee176a334a77483dd9fe066a8c3e78dd1066c1303e2",
     ),
     # two-digit occupation counts
     "two_digit": (
