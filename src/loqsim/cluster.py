@@ -28,7 +28,7 @@ the returned output is branch-independent for properly adapted patterns.
 each node and bond is added right before the first measurement that
 needs it, so the dense state spans only the active (added, unmeasured)
 nodes.  A graph declares at most NODE_CAP nodes; the random stream is
-drawn once per measurement.
+drawn at most once per measurement.
 
 The dense state runs on the qubit kernels of `encoding`: `with_node`
 grows it with `outer`, `with_bond` (CZ) and `with_pauli` (X flips the
@@ -46,7 +46,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .detection import project, rng_from_seed
+from .detection import Draws, project, rng_from_seed, seed_uniforms
 from .encoding import LogicalState, axes_first, flip_sign, outer
 
 NODE_CAP = 20
@@ -324,10 +324,15 @@ def run_pattern(
     declared order, with their missing endpoints) are added; the rest
     follow in declared order after the schedule.  `force` pins chosen
     nodes' outcomes (for exploring all branches); unforced nodes sample
-    from the Born rule with the given seed.
+    from the Born rule with the given seed.  A measurement takes at most
+    one uniform draw (a forced one none), so an int seed takes its
+    len(schedule) draws of default_rng(seed) up front.
     """
     _check_node_cap(graph)
-    rng = rng_from_seed(seed)
+    if isinstance(seed, (int, np.integer)):
+        rng = Draws(seed_uniforms(seed, len(schedule)))
+    else:
+        rng = rng_from_seed(seed)
     state = ClusterState.empty(graph)
     frame = PauliFrame()
     outcomes: dict[int, int] = {}

@@ -35,16 +35,21 @@ running sums are built once and each pick is a bisection.
 
 Trial i of a Monte Carlo run draws from its own PCG64 stream
 derive_rng(seed, i), the stream of np.random.default_rng([seed, i]), so
-results do not depend on scheduling.  `trial_rngs` builds the streams of
-a run a chunk of indices at a time: the `SeedSequence([seed, i])` hash
+results do not depend on scheduling.  The `SeedSequence([seed, i])` hash
 (numpy's, after O'Neill's seed_seq: 32-bit words mixed by xor, multiply
-and shift) runs as uint32 array arithmetic over the whole chunk, and
-each stream's PCG64 seeds itself from its precomputed
-`generate_state(4, uint64)` row.  Streams stay bit-identical; only the
-per-trial `SeedSequence` is gone.  No draw depends on amplitudes, only
-on the stream (a Born-rule draw is the uniform r, not the outcome), so a
-run may take every trial's draws first and evolve the states of a block
-of trials afterwards as stacked arrays.
+and shift) of a chunk of indices runs as uint32 array arithmetic, giving
+each stream's `generate_state(4, uint64)` seed row.  A run that draws
+only uniforms takes them from those rows directly: `pcg64_uniforms` is
+numpy's PCG64 and `random()` in uint64 array arithmetic, jumped ahead to
+each of the first k draws of every stream at once, so no `Generator` is
+built and numpy.random is never imported (`trial_uniforms` for a run,
+`seed_uniforms` for one plain seed, `Draws` to hand such values out as a
+Generator's random() would).  `trial_rngs` seeds a `Generator` from each
+row instead, for the teleported CNOT, whose inputs are normals.  Every
+value stays bit-identical to numpy's.  No draw depends on amplitudes,
+only on the stream (a Born-rule draw is the uniform r, not the outcome),
+so a run may take every trial's draws first and evolve the states of a
+block of trials afterwards as stacked arrays.
 """
 
 from __future__ import annotations
@@ -261,11 +266,29 @@ def herald(
 # seeded sampling
 # ---------------------------------------------------------------------------
 
-def rng_from_seed(seed) -> np.random.Generator:
-    """Accept an int seed or pass an existing Generator through."""
-    if isinstance(seed, np.random.Generator):
+def rng_from_seed(seed):
+    """Pass a source of uniform draws (anything with a random() method: a
+    Generator or `Draws`) through; make default_rng(seed) of anything else.
+    Only the last imports numpy.random."""
+    if hasattr(seed, "random"):
         return seed
     return np.random.default_rng(seed)
+
+
+class Draws:
+    """Uniform draws taken in advance, handed out in order by random() as
+    the stream they came from would hand them out."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: Sequence[float]):
+        self._values = iter(values)
+
+    def random(self) -> float:
+        r = next(self._values, None)
+        if r is None:
+            raise ValueError("no uniform draws left")
+        return r
 
 
 def derive_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -378,6 +401,84 @@ def _stream_states(seed: int, start: int, stop: int) -> np.ndarray:
         ]
         parts.append(_seed_states(np.array(table)))
     return np.concatenate(parts)
+
+
+# numpy's PCG64: a 128-bit LCG state, stepped as state * _PCG_MULT + inc
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+@lru_cache(maxsize=None)
+def _jump_constants(k: int) -> tuple[np.ndarray, ...]:
+    """Draw j of a PCG64 reads the state A_j * s + C_j * inc (mod 2**128)
+    of seed state s and increment inc, with A_j = M**(j+2) and C_j = 1 +
+    M + ... + M**(j+2): seeding steps once from 0, adds s and steps again,
+    and each draw steps first.  Returns the high and low uint64 words of
+    A and of C for j < k, as (1, k) rows."""
+    a, c = _PCG_MULT, 1 + _PCG_MULT
+    consts = []
+    for _ in range(k):
+        a = a * _PCG_MULT & _MASK128
+        c = (c + a) & _MASK128
+        consts.append((a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+    words = np.array(consts, np.uint64).reshape(k, 4).T
+    return tuple(row[None, :] for row in words)
+
+
+def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of each 64 x 64-bit product, from 32-bit limbs."""
+    a1, a0, b1, b0 = a >> 32, a & _MASK32, b >> 32, b & _MASK32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _mul128(ah, al, bh, bl) -> tuple[np.ndarray, np.ndarray]:
+    """(ah:al) * (bh:bl) mod 2**128 as its (high, low) uint64 words."""
+    return _mulhi64(al, bl) + ah * bl + al * bh, al * bl
+
+
+def pcg64_uniforms(states: np.ndarray, k: int) -> np.ndarray:
+    """The first k random() doubles of the PCG64 each (n, 4) uint64 seed
+    row makes (a row of `_stream_states` or `_seed_states`), as an (n, k)
+    float64 table bit-identical to numpy's.
+
+    numpy seeds with state = words 0-1 and inc = words 2-3 shifted left
+    one bit with the low bit set; `_jump_constants` reaches draw j in two
+    128-bit products whatever j is.  A draw is the XSL-RR output (hi ^ lo
+    rotated right by hi >> 58), whose top 53 bits make the double.
+    """
+    ah, al, ch, cl = _jump_constants(k)
+    sh, sl = states[:, :1], states[:, 1:2]
+    ih = states[:, 2:3] << 1 | states[:, 3:4] >> 63
+    il = states[:, 3:4] << 1 | 1
+    xh, xl = _mul128(ah, al, sh, sl)
+    yh, yl = _mul128(ch, cl, ih, il)
+    lo = xl + yl
+    hi = xh + yh + (lo < xl)
+    x, rot = hi ^ lo, hi >> 58
+    out = x >> rot | x << (64 - rot & 63)
+    return (out >> 11) * 2.0**-53
+
+
+def trial_uniforms(seed: int, start: int, stop: int, k: int) -> Iterator[list[float]]:
+    """The first k values of derive_rng(seed, i).random() for i in
+    range(start, stop), one list per index, in order.
+
+    The seeds are hashed and the draws made _HASH_CHUNK indices at a time,
+    so no more than one (_HASH_CHUNK, k) table is held.
+    """
+    seed, start, stop = int(seed), int(start), int(stop)
+    for a in range(start, stop, _HASH_CHUNK):
+        states = _stream_states(seed, a, min(a + _HASH_CHUNK, stop))
+        yield from pcg64_uniforms(states, k).tolist()
+
+
+def seed_uniforms(seed: int, k: int) -> list[float]:
+    """default_rng(seed).random(k) of a seed >= 0, as a list."""
+    entropy = np.array(_words(int(seed)), np.uint32)[:, None]
+    return pcg64_uniforms(_seed_states(entropy), k)[0].tolist()
 
 
 @lru_cache(maxsize=1)

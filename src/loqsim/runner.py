@@ -22,10 +22,12 @@ from . import __version__
 from .cluster import ClusterGraph, MeasurementInstruction, run_pattern, transcript_json
 from .detection import (
     DetectorModel,
+    Draws,
     HeraldGroups,
     HeraldPattern,
     born_picker,
     trial_rngs,
+    trial_uniforms,
 )
 from .dsl import ElementSpec, ExperimentSpec, SpecError
 from .encoding import LogicalState, QubitEncoding, decode, outer
@@ -365,19 +367,25 @@ def _run_sweep(spec: ExperimentSpec, seed: int) -> Report:
 _BLOCK = 64  # trials evolved at once; 256 raised the peak RSS, and 32 was no faster
 
 
-def _trial_rows(seed: int, trials: int, trial, block=None) -> list[list]:
+def _trial_rows(seed: int, trials: int, trial, block=None, draws=None) -> list[list]:
     """The one Monte Carlo loop: row [i, *values] per trial, each trial on
-    its own stream derive_rng(seed, i), as `trial_rngs` builds them.
+    its own stream derive_rng(seed, i).
 
-    Without `block`, trial(rng) returns the row's values.  With it,
-    trial(rng) only draws, and block(draws) turns up to _BLOCK consecutive
-    trials' draws into their rows' values at once.
+    With `draws` = k, trial(u) is handed the first k uniforms of its
+    stream as a list, from `trial_uniforms`.  Without it, trial(rng) is
+    handed the stream as a Generator, from `trial_rngs`, for draws other
+    than uniforms.  Without `block`, trial returns the row's values.
+    With it, trial only draws, and block(draws) turns up to _BLOCK
+    consecutive trials' draws into their rows' values at once.
     """
     rows = []
-    rngs = trial_rngs(seed, 0, trials)
+    if draws is None:
+        streams = trial_rngs(seed, 0, trials)
+    else:
+        streams = trial_uniforms(seed, 0, trials, draws)
     for start in range(0, trials, _BLOCK):
         stop = min(start + _BLOCK, trials)
-        values = [trial(rng) for rng in islice(rngs, stop - start)]
+        values = [trial(s) for s in islice(streams, stop - start)]
         if block is not None:
             values = block(values)
         rows.extend([i, *v] for i, v in zip(range(start, stop), values))
@@ -388,18 +396,18 @@ def _run_monte_carlo(spec: ExperimentSpec, seed: int, trials: int) -> Report:
     if spec.cluster is not None:
         graph, schedule = _cluster_parts(spec)
 
-        def pattern_trial(rng):
-            result = run_pattern(graph, schedule, rng)
+        def pattern_trial(u):
+            result = run_pattern(graph, schedule, Draws(u))
             return ["".join(str(o) for _n, _b, o in result.transcript)]
 
-        rows = _trial_rows(seed, trials, pattern_trial)
+        rows = _trial_rows(seed, trials, pattern_trial, draws=len(schedule))
         return Report(
             "monte-carlo", ["trial", "outcomes"], rows, [("trials", trials)], seed
         )
 
     if spec.gate is not None:
         p = run_photonic(_gate_for(spec), _evolved(spec), DetectorModel()).probability
-        rows = _trial_rows(seed, trials, lambda rng: [int(rng.random() < p)])
+        rows = _trial_rows(seed, trials, lambda u: [int(u[0] < p)], draws=1)
         agg = [
             ("herald_probability", p),
             ("success_rate", sum(row[1] for row in rows) / trials),
@@ -414,7 +422,7 @@ def _run_monte_carlo(spec: ExperimentSpec, seed: int, trials: int) -> Report:
     pick = born_picker([abs(a) ** 2 for _label, a, _matched in outcomes])
     cells = [[label, hit] if counts else [label] for label, _a, hit in outcomes]
 
-    rows = _trial_rows(seed, trials, lambda rng: cells[pick(rng.random())])
+    rows = _trial_rows(seed, trials, lambda u: cells[pick(u[0])], draws=1)
     columns = ["trial", "outcome"] + (["matched"] if counts else [])
     agg = [("trials", trials)]
     if counts:

@@ -10,24 +10,35 @@ import math
 import numpy as np
 import pytest
 
-from loqsim.cluster import PatternResult, PauliFrame, initial_cluster_state, measure_node
+from loqsim.cluster import (
+    PatternResult,
+    PauliFrame,
+    initial_cluster_state,
+    measure_node,
+    run_pattern,
+)
 from loqsim.detection import (
     IDEAL_DETECTOR,
     PROB_TOL,
     DetectionRecord,
     DetectorModel,
     HeraldPattern,
+    measure_all,
     rng_from_seed,
 )
 from loqsim.encoding import LogicalState
-from loqsim.fock import PhotonicState
+from loqsim.fock import PhotonicState, make_basis_state
+from loqsim.heralded import run_photonic
 from loqsim.interferometer import (
     ModeUnitary,
     _raising_tables,
+    apply,
+    compose,
     compositions,
     permanent,
     sector_size,
 )
+from loqsim.runner import Report, _cluster_parts, _gate_for, lower_elements
 from loqsim.teleport import (
     _CORRECTION_FOR,
     PauliCorrection,
@@ -36,6 +47,10 @@ from loqsim.teleport import (
     bell_pair,
     cnot_matrix,
 )
+
+
+# seeds of one, two and three 32-bit words
+STREAM_SEEDS = (0, 1, 7919, 2**32 - 1, 2**32, 2**64 + 5)
 
 
 def naive_permanent(matrix) -> complex:
@@ -398,6 +413,53 @@ def serial_teleported_cnot(seed: int, trials: int):
         rows.append([i, attempts, 2 * attempts, overlap])
         used.append((c.amps, t.amps, (label_c, label_t)))
     return rows, used
+
+
+def serial_trials_report(spec, seed: int, trials: int) -> Report:
+    """The `trials` report of a cluster, gate or sampling spec, one trial
+    at a time.
+
+    The per-trial loop that block-drawn uniforms replaced: trial i draws
+    from default_rng([seed, i]) as it goes.  A cluster trial runs
+    `run_pattern` on that Generator; a gate trial succeeds when its one
+    draw falls below the herald probability; a sampling trial picks its
+    outcome with `measure_all` on the evolved `PhotonicState`, and
+    matches when the outcome holds the herald's counts.
+    """
+    rngs = [np.random.default_rng([seed, i]) for i in range(trials)]
+    if spec.cluster is not None:
+        graph, schedule = _cluster_parts(spec)
+        rows = [
+            [i, "".join(str(o) for _n, _b, o in run_pattern(graph, schedule, rng).transcript)]
+            for i, rng in enumerate(rngs)
+        ]
+        return Report("monte-carlo", ["trial", "outcomes"], rows, [("trials", trials)], seed)
+
+    u = compose(lower_elements(spec.elements), spec.modes)
+    state = apply(u, make_basis_state(spec.input_occupations))
+    if spec.gate is not None:
+        p = run_photonic(_gate_for(spec), state, DetectorModel()).probability
+        rows = [[i, int(rng.random() < p)] for i, rng in enumerate(rngs)]
+        agg = [
+            ("herald_probability", p),
+            ("success_rate", sum(row[1] for row in rows) / trials),
+            ("trials", trials),
+        ]
+        return Report("monte-carlo", ["trial", "success"], rows, agg, seed)
+
+    herald = spec.herald or ()
+    rows = []
+    for i, rng in enumerate(rngs):
+        occ, _p = measure_all(state, rng)
+        row = [i, " ".join(map(str, occ))]
+        if herald:
+            row.append(int(all(occ[m] == c for m, c in herald)))
+        rows.append(row)
+    agg = [("trials", trials)]
+    if herald:
+        agg.append(("match_rate", sum(row[2] for row in rows) / trials))
+    columns = ["trial", "outcome"] + (["matched"] if herald else [])
+    return Report("monte-carlo", columns, rows, agg, seed)
 
 
 def _bit(index: int, q: int, n: int) -> int:

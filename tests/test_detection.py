@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loqsim import detection
 from loqsim.detection import (
     DetectorModel,
+    Draws,
     HeraldGroups,
     HeraldPattern,
     _HASH_CHUNK,
@@ -18,7 +20,9 @@ from loqsim.detection import (
     herald,
     measure_all,
     sample,
+    seed_uniforms,
     trial_rngs,
+    trial_uniforms,
 )
 from loqsim.fock import PhotonicState, make_basis_state, superpose, tensor
 from loqsim.interferometer import (
@@ -30,7 +34,7 @@ from loqsim.interferometer import (
     evolve_table,
 )
 
-from conftest import random_unitary, reference_herald
+from conftest import STREAM_SEEDS, random_unitary, reference_herald
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -326,10 +330,6 @@ def test_derive_rng_is_the_default_rng_stream_of_seed_and_index():
             assert got.random() == want.random()
 
 
-# seeds of one, two and three 32-bit words
-STREAM_SEEDS = (0, 1, 7919, 2**32 - 1, 2**32, 2**64 + 5)
-
-
 def _assert_default_rng_streams(seed, start, stop):
     got = list(trial_rngs(seed, start, stop))
     assert len(got) == stop - start
@@ -365,6 +365,71 @@ def test_block_seeding_refuses_negative_entropy():
         list(trial_rngs(-1, 0, _HASH_MIN))
     with pytest.raises(ValueError):
         _stream_states(0, -_HASH_MIN, 0)
+
+
+# seeds of four and five 32-bit words too: the command line takes any seed >= 0
+WIDE_SEEDS = STREAM_SEEDS + (2**96 + 7, 10**40)
+DRAW_COUNTS = (0, 1, 2, 19, 40)
+
+
+def _as_bits(values, shape) -> np.ndarray:
+    return np.array(values, dtype=np.float64).reshape(shape).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+def test_uniform_tables_are_the_default_rng_draws(seed):
+    # indices 0..3001 (two whole chunks and a partial one), then across 2**32
+    for start, stop in ((0, 3002), (2**32 - 20, 2**32 + 20)):
+        # random(k) is the first k values of random(40)
+        want = np.array(
+            [np.random.default_rng([seed, i]).random(max(DRAW_COUNTS)) for i in range(start, stop)]
+        )
+        for k in DRAW_COUNTS:
+            got = _as_bits(list(trial_uniforms(seed, start, stop, k)), (stop - start, k))
+            assert np.array_equal(got, want[:, :k].view(np.uint64)), (seed, start, k)
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+def test_seed_uniforms_are_the_default_rng_draws(seed):
+    for k in DRAW_COUNTS:
+        got = seed_uniforms(seed, k)
+        assert all(type(r) is float for r in got)
+        want = np.random.default_rng(seed).random(k).view(np.uint64)
+        assert np.array_equal(_as_bits(got, k), want), (seed, k)
+
+
+def test_uniform_tables_come_one_chunk_at_a_time(monkeypatch):
+    shapes = []
+    kernel = detection.pcg64_uniforms
+
+    def spy(states, k):
+        shapes.append(states.shape[0])
+        return kernel(states, k)
+
+    monkeypatch.setattr(detection, "pcg64_uniforms", spy)
+    trials = 200_000
+    rows = trial_uniforms(1, 0, trials, 1)
+    next(rows)
+    assert shapes == [_HASH_CHUNK]
+    assert sum(1 for _ in rows) == trials - 1
+    assert len(shapes) == -(-trials // _HASH_CHUNK)
+    assert max(shapes) == _HASH_CHUNK and sum(shapes) == trials
+
+
+def test_uniform_draws_refuse_negative_entropy():
+    with pytest.raises(ValueError):
+        list(trial_uniforms(-1, 0, 5, 1))
+    with pytest.raises(ValueError):
+        list(trial_uniforms(0, -5, 0, 1))
+    with pytest.raises(ValueError):
+        seed_uniforms(-1, 1)
+
+
+def test_draws_hand_out_their_values_in_order_then_refuse():
+    draws = Draws([0.25, 0.75])
+    assert (draws.random(), draws.random()) == (0.25, 0.75)
+    with pytest.raises(ValueError, match="no uniform draws left"):
+        draws.random()
 
 
 PROBS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1e-300, 0.1]) | st.floats(0.0, 1.0)
