@@ -21,17 +21,18 @@ become the residual `PhotonicState`.  One grouping serves any number of
 detector models.  `herald(state, ...)` is the wrapper for a keyed state:
 its terms, in their order, are the rows.
 
-`born_pick` is the one Born-rule pick: u = r * sum(probs) for a uniform
-draw r, and the first outcome with p > 0 whose running sum exceeds u
-wins.  `sample` draws r and picks from one outcome list; the batched
-teleported CNOT picks each trial's Bell outcome from its row of a
-stacked probability table, with the r it drew earlier.  `project`
-is the one dense projective measurement (Bell analysis, cluster nodes).
-`force` names an outcome index instead of drawing (no random number is
-used); an index out of range or below PROB_TOL in probability is refused.
-
-`born_picker` is `born_pick` for many draws on one outcome list: the
-running sums are built once and each pick is a bisection.
+`born_pick` is the one Born-rule pick: u = r * total for a uniform draw
+r, the total being the last running sum of sequential additions, and the
+first outcome with p > 0 whose running sum exceeds u wins.  `sample`
+draws r and picks from one outcome list.  `born_pick_rows` applies the
+same rule to every row of a (T, k) probability table at once, each row
+with its own r (the batched teleported CNOT's Bell outcomes), and
+`born_picker` to an array of draws on one outcome list, building the
+running sums once and finding each pick with `np.searchsorted` (the
+sampling runs).  `project` is the one dense projective measurement (Bell
+analysis, cluster nodes).  `force` names an outcome index instead of
+drawing (no random number is used); an index out of range or below
+PROB_TOL in probability is refused.
 
 Trial i of a Monte Carlo run draws from its own PCG64 stream
 derive_rng(seed, i), the stream of np.random.default_rng([seed, i]), so
@@ -54,8 +55,6 @@ block of trials afterwards as stacked arrays.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -462,17 +461,17 @@ def pcg64_uniforms(states: np.ndarray, k: int) -> np.ndarray:
     return (out >> 11) * 2.0**-53
 
 
-def trial_uniforms(seed: int, start: int, stop: int, k: int) -> Iterator[list[float]]:
+def trial_uniforms(seed: int, start: int, stop: int, k: int) -> Iterator[np.ndarray]:
     """The first k values of derive_rng(seed, i).random() for i in
-    range(start, stop), one list per index, in order.
+    range(start, stop), as (n, k) tables of consecutive indices, in order.
 
     The seeds are hashed and the draws made _HASH_CHUNK indices at a time,
-    so no more than one (_HASH_CHUNK, k) table is held.
+    one table per chunk, so no more than one (_HASH_CHUNK, k) table is
+    held.
     """
     seed, start, stop = int(seed), int(start), int(stop)
     for a in range(start, stop, _HASH_CHUNK):
-        states = _stream_states(seed, a, min(a + _HASH_CHUNK, stop))
-        yield from pcg64_uniforms(states, k).tolist()
+        yield pcg64_uniforms(_stream_states(seed, a, min(a + _HASH_CHUNK, stop)), k)
 
 
 def seed_uniforms(seed: int, k: int) -> list[float]:
@@ -524,13 +523,18 @@ def trial_rngs(seed: int, start: int, stop: int) -> Iterator[np.random.Generator
 
 def born_pick(probs: Sequence[float], r: float) -> int:
     """The Born-rule pick for one uniform draw r over unnormalized
-    probabilities: u = r * sum(probs), and the first outcome with p > 0
-    whose running sum exceeds u wins.
+    probabilities: u = r * total, with the total the last running sum of
+    sequential additions (not `sum`, whose rounding changed in Python
+    3.12), and the first outcome with p > 0 whose running sum exceeds u
+    wins.
 
     If rounding leaves u at or past the running total, the last outcome
     with p > 0 is returned; all-zero probabilities are an error.
     """
-    u = r * sum(probs)
+    total = 0.0
+    for p in probs:
+        total += p
+    u = r * total
     acc = 0.0
     last = None
     for k, p in enumerate(probs):
@@ -544,24 +548,44 @@ def born_pick(probs: Sequence[float], r: float) -> int:
     return last
 
 
-def born_picker(probs: Sequence[float]) -> Callable[[float], int]:
-    """`born_pick(probs, r)` as a function of r, for many draws on one
-    list of probabilities (each >= 0).
+def born_pick_rows(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """`born_pick(probs[t], r[t])` for every row t of a (T, k) table of
+    probabilities (each >= 0), as a (T,) index array.
 
-    The running sums are built once with the same sequential additions (a
-    zero adds nothing, so a zero-probability outcome never has the first
-    sum past u), u = r * sum(probs) as before, and the first running sum
-    past u is found by bisection.  At or past the total the last outcome
-    with p > 0 is picked; all-zero probabilities are refused up front.
+    The running sums come from `np.cumsum`, whose additions along a row
+    are sequential, u = r * the last running sum, and the first entry with
+    p > 0 whose running sum exceeds u wins, else the last entry with
+    p > 0.  A row with no p > 0 is refused.
     """
-    total = sum(probs)
-    cum = list(itertools.accumulate(probs))
-    last = max((k for k, p in enumerate(probs) if p > 0.0), default=None)
-    if last is None:
+    cum = np.cumsum(probs, axis=1)
+    positive = probs > 0.0
+    if not positive.any(axis=1).all():
         raise ValueError("state has no support on the measurement outcomes")
+    hit = positive & (cum > (r * cum[:, -1])[:, None])
+    last = probs.shape[1] - 1 - positive[:, ::-1].argmax(axis=1)
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), last)
 
-    def pick(r: float) -> int:
-        return min(bisect.bisect_right(cum, r * total), last)
+
+def born_picker(probs: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
+    """`born_pick(probs, r)` as a function of an array of draws r, for
+    many draws on one list of probabilities (each >= 0).
+
+    The running sums are built once by `np.cumsum` (sequential additions;
+    a zero adds nothing, so a zero-probability outcome never has the first
+    sum past u), u = r * the last running sum as before, and
+    `np.searchsorted(..., side="right")` finds each first running sum past
+    u.  At or past the total the last outcome with p > 0 is picked;
+    all-zero probabilities are refused up front.
+    """
+    probs = np.asarray(probs, dtype=float)
+    positive = np.flatnonzero(probs > 0.0)
+    if not len(positive):
+        raise ValueError("state has no support on the measurement outcomes")
+    cum, last = np.cumsum(probs), positive[-1]
+    total = cum[-1]
+
+    def pick(r: np.ndarray) -> np.ndarray:
+        return np.minimum(np.searchsorted(cum, r * total, side="right"), last)
 
     return pick
 

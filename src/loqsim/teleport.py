@@ -18,17 +18,22 @@ attempt is nondeterministic.  That is exactly the accounting that gives
 the Psi pair and degrades to a computational-basis measurement on the
 Phi subspace, succeeding half the time on Bell-uniform inputs.
 
-A teleported CNOT runs in two phases.  `cnot_draws` takes every random
-number of one run from its stream: the attempt loop (its draws taken as
-one batch and scanned), then one uniform per Bell measurement.  None of
-them depends on amplitudes.
-`teleported_cnot_block` then evolves a stack of runs at once as (T, 64)
+A teleported CNOT runs in two phases.  Phase 1, `cnot_draws`, takes the
+random numbers of a stack of runs, each from its own stream: every stream
+gives one batch of `_ATTEMPT_DRAWS` uniforms, and one scan of the stacked
+(T, 40) table finds each run's first herald hit (its attempt count) and
+the two Bell draws after it.  Only the few runs with no hit, or whose
+Bell draws run past the batch, go on drawing one value at a time from
+their own stream, in the same order.  None of the draws depends on
+amplitudes.
+`teleported_cnot_block` then evolves the stack at once as (T, 64)
 -> (T, 16) -> (T, 4) arrays: product state with two Bell pairs, the
 gate action, two Bell projections (each run's outcome picked from its
-own row of probabilities by `detection.born_pick` with its own draw) and
-the commuted corrections as index and sign tables.  `teleported_cnot` is
-the one-run call of the same two phases; a Monte Carlo report draws
-every trial of a block first and then makes one block call.
+own row of probabilities by `detection.born_pick_rows` with its own
+draw) and the commuted corrections as index and sign tables.
+`teleported_cnot` is the one-run call of the same two phases, on stacks
+of one; a Monte Carlo report makes one call of each phase per block of
+trials.
 """
 
 from __future__ import annotations
@@ -37,10 +42,11 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .detection import born_pick, project, rng_from_seed, sample
+from .detection import born_pick_rows, project, rng_from_seed, sample
 from .encoding import LogicalState, axes_first, on_qubits, outer
 from .heralded import conditional_logical_map, klm_cnot
 
@@ -208,41 +214,49 @@ _ATTEMPT_DRAWS = 40
 
 
 def cnot_draws(
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     force_attempts: int | None = None,
-    force_bells: tuple = (None, None),
-) -> tuple[int, tuple[float | None, float | None]]:
-    """Phase 1 of one teleported CNOT: the attempt count, then a uniform
-    draw for each Bell measurement whose outcome is not forced (None for
-    a forced one), in that order on `rng`.
+    bells: int = 2,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phase 1 of a stack of teleported CNOTs, one per stream in `rngs`:
+    each run's attempt count, then its `bells` uniform Bell draws, as a
+    (T,) int array and a (T, bells) table.
 
     The values are those of one `rng.random()` per attempt until the
-    herald fires, then one per Bell draw.  They are taken as one
-    `rng.random(_ATTEMPT_DRAWS)` and a scan, with one call per value only
-    past it, so `rng` may be left further along than the last value used:
-    pass a stream that nothing draws from afterwards, as each Monte Carlo
-    trial's own stream is.
+    herald fires (none if `force_attempts` gives the count), then one per
+    Bell draw.  Each stream gives `rng.random(_ATTEMPT_DRAWS)`, and one
+    scan of the stacked table finds every first hit and the Bell draws
+    after it.  Only a run with no hit, or whose Bell draws run past the
+    table, goes on with one call per value, in the same order.  A stream
+    may be left further along than the last value used: pass streams
+    that nothing draws from afterwards, as each Monte Carlo trial's own
+    stream is.
     """
-    if force_attempts is not None:
-        attempts, rest = int(force_attempts), []
-    else:
+    count = len(rngs)
+    if force_attempts is None:
         p_success, _gate_action = _cnot_resource()
-        u = rng.random(_ATTEMPT_DRAWS).tolist()
-        for attempts, r in enumerate(u, 1):
-            if r < p_success:
-                break
-        else:
-            attempts = len(u) + 1
+        u = np.array([rng.random(_ATTEMPT_DRAWS) for rng in rngs]).reshape(count, _ATTEMPT_DRAWS)
+        hit = u < p_success
+        attempts = hit.argmax(axis=1) + 1  # 1 on a row with no hit
+        missed = ~hit.any(axis=1)
+    else:
+        u = np.empty((count, 0))
+        attempts = np.full(count, int(force_attempts))
+        missed = np.zeros(count, dtype=bool)
+    slow = missed | (attempts + bells > u.shape[1])
+    draws = np.empty((count, bells))
+    fast = ~slow
+    draws[fast] = np.take_along_axis(u[fast], attempts[fast, None] + np.arange(bells), axis=1)
+    for t in np.flatnonzero(slow).tolist():
+        rng = rngs[t]
+        if missed[t]:
+            tries = u.shape[1] + 1
             while rng.random() >= p_success:
-                attempts += 1
-        rest = u[attempts:]  # the values after the one that fired
-    draws = []
-    for f in force_bells:
-        if f is not None:
-            draws.append(None)
-        else:
-            draws.append(rest.pop(0) if rest else rng.random())
-    return attempts, tuple(draws)
+                tries += 1
+            attempts[t] = tries
+        rest = u[t, attempts[t]:].tolist()  # the values after the one that fired
+        draws[t] = [rest.pop(0) if rest else rng.random() for _ in range(bells)]
+    return attempts, draws
 
 
 _BELL_ROWS = np.array(list(_BELL_VECTORS.values())).conj()
@@ -255,12 +269,12 @@ def _bell_block(state: np.ndarray, n: int, qubits, draws, force: int | None):
     renormalized states of the other qubits."""
     branches = _BELL_ROWS @ axes_first(state, n, qubits)
     probs = np.linalg.norm(branches, axis=-1) ** 2
-    index = [
-        born_pick(p, r) if force is None else sample(p, None, force)
-        for p, r in zip(probs.tolist(), draws)
-    ]
+    if force is None:
+        index = born_pick_rows(probs, draws)
+    else:
+        index = np.array([sample(p, None, force) for p in probs.tolist()])
     rows = np.arange(len(index))
-    return np.array(index), branches[rows, index] / np.sqrt(probs[rows, index])[:, None]
+    return index, branches[rows, index] / np.sqrt(probs[rows, index])[:, None]
 
 
 def _correction_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -290,9 +304,9 @@ def teleported_cnot_block(
     """Phase 2 of T teleported CNOTs on normalized (T, 2) input stacks.
 
     `draws` holds each run's two Bell draws, (T, 2); `force_bells` may
-    name an outcome index per measurement instead.  Returns the (T, 4)
-    corrected outputs and the (T, 2) Bell outcome indices (in
-    `BellLabel` order).
+    name an outcome index per measurement instead, and that column of
+    `draws` is not read.  Returns the (T, 4) corrected outputs and the
+    (T, 2) Bell outcome indices (in `BellLabel` order).
     """
     _p_success, gate_action = _cnot_resource()
     pair = _BELL_VECTORS[BellLabel.PHI_PLUS]
@@ -321,18 +335,20 @@ def teleported_cnot(
     attempted on one half of each (herald sampled at its simulated
     probability).  After success the inputs are teleported through the
     pre-gated pairs with ideal Bell measurements and the commuted
-    correction set is applied.  This is `cnot_draws` on `seed`, then
-    `teleported_cnot_block` on a stack of one; a Generator passed as
+    correction set is applied.  This is `cnot_draws` and
+    `teleported_cnot_block` on stacks of one; a Generator passed as
     `seed` may be left past the values used (see `cnot_draws`).
     """
     if control.n != 1 or target.n != 1:
         raise ValueError("teleported_cnot takes two single-qubit states")
     labels = list(_BELL_VECTORS)
     force = [_forced_index(labels, f) for f in force_bells or (None, None)]
-    attempts, draws = cnot_draws(rng_from_seed(seed), force_attempts, force)
-    out, _labels = teleported_cnot_block(
-        control.amps[None], target.amps[None], np.array([draws]), force
-    )
+    free = [k for k, f in enumerate(force) if f is None]
+    attempts, free_draws = cnot_draws([rng_from_seed(seed)], force_attempts, len(free))
+    draws = np.full((1, 2), np.nan)  # a forced measurement draws nothing
+    draws[:, free] = free_draws
+    out, _labels = teleported_cnot_block(control.amps[None], target.amps[None], draws, force)
+    attempts = int(attempts[0])
     return LogicalState._trusted(out[0], 2), ResourceTally(attempts, 2 * attempts)
 
 

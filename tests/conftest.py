@@ -5,11 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from loqsim import __version__
 from loqsim.cluster import (
     PatternResult,
     PauliFrame,
@@ -328,6 +330,31 @@ def reference_csv_text(report) -> str:
     for key, value in report.iter_aggregate():
         writer.writerow([key, cell(value)])
     return buf.getvalue()
+
+
+def reference_json_text(report) -> str:
+    """A report's JSON through `json.dumps(payload, indent=2)`.
+
+    The writer `Report.to_json_text` replaced with column-wise formatting:
+    numpy numbers in the rows and aggregate become Python numbers, and
+    json's own encoder writes the whole payload at once.
+    """
+    def cell(v):
+        if isinstance(v, np.integer):
+            return int(v)
+        if isinstance(v, np.floating):
+            return float(v)
+        return v
+
+    payload = {
+        "version": __version__,
+        "seed": report.seed,
+        "mode": report.mode,
+        "columns": report.columns,
+        "rows": [[cell(v) for v in row] for row in report.rows],
+        "aggregate": {k: cell(v) for k, v in report.iter_aggregate()},
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def monolithic_run(graph, schedule, seed):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from loqsim.detection import (
     _HASH_MIN,
     _stream_states,
     born_pick,
+    born_pick_rows,
     born_picker,
     derive_rng,
     herald,
@@ -385,7 +387,7 @@ def test_uniform_tables_are_the_default_rng_draws(seed):
             [np.random.default_rng([seed, i]).random(max(DRAW_COUNTS)) for i in range(start, stop)]
         )
         for k in DRAW_COUNTS:
-            got = _as_bits(list(trial_uniforms(seed, start, stop, k)), (stop - start, k))
+            got = np.concatenate(list(trial_uniforms(seed, start, stop, k))).view(np.uint64)
             assert np.array_equal(got, want[:, :k].view(np.uint64)), (seed, start, k)
 
 
@@ -408,10 +410,10 @@ def test_uniform_tables_come_one_chunk_at_a_time(monkeypatch):
 
     monkeypatch.setattr(detection, "pcg64_uniforms", spy)
     trials = 200_000
-    rows = trial_uniforms(1, 0, trials, 1)
-    next(rows)
+    tables = trial_uniforms(1, 0, trials, 1)
+    assert next(tables).shape == (_HASH_CHUNK, 1)
     assert shapes == [_HASH_CHUNK]
-    assert sum(1 for _ in rows) == trials - 1
+    assert sum(len(table) for table in tables) == trials - _HASH_CHUNK
     assert len(shapes) == -(-trials // _HASH_CHUNK)
     assert max(shapes) == _HASH_CHUNK and sum(shapes) == trials
 
@@ -450,6 +452,69 @@ def test_born_picker_equals_born_pick(zeros, probs, draws):
             with pytest.raises(ValueError):
                 pick_all()
         return
-    pick = born_picker(probs)
-    for r in draws:
-        assert pick(r) == born_pick(probs, r)
+    got = born_picker(probs)(np.array(draws))
+    assert got.tolist() == [born_pick(probs, r) for r in draws]
+
+
+@st.composite
+def pick_tables(draw):
+    """Rows of probabilities with leading, trailing or all-but-one zero
+    entries, each with a draw: an edge value, any value in [0, 1), or one
+    that puts u on a running sum (exactly, for dyadic entries)."""
+    width = draw(st.integers(1, 8))
+    entries = PROBS | st.sampled_from([0.125, 0.25, 0.5])
+    rows, draws = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        p = draw(st.lists(entries, min_size=width, max_size=width))
+        j = draw(st.integers(0, width - 1))
+        zeros = draw(st.sampled_from(["as drawn", "leading", "trailing", "all but one"]))
+        if zeros == "leading":
+            p[:j] = [0.0] * j
+        elif zeros == "trailing":
+            p[j + 1:] = [0.0] * (width - j - 1)
+        elif zeros == "all but one":
+            p = [x if k == j else 0.0 for k, x in enumerate(p)]
+        cum = list(itertools.accumulate(p))
+        on_sum = [c / cum[-1] for c in cum] if cum[-1] > 0.0 else [0.0]
+        rows.append(p)
+        draws.append(draw(DRAWS | st.sampled_from(on_sum)))
+    return rows, draws
+
+
+@settings(max_examples=300, deadline=None)
+@given(pick_tables())
+def test_born_pick_rows_equal_born_pick(table):
+    rows, draws = table
+    probs, r = np.array(rows), np.array(draws)
+    if not all(any(p > 0.0 for p in row) for row in rows):
+        with pytest.raises(ValueError, match="no support"):
+            born_pick_rows(probs, r)
+        return
+    assert born_pick_rows(probs, r).tolist() == [born_pick(p, x) for p, x in zip(rows, draws)]
+
+
+def test_born_pick_rows_edges():
+    probs = np.array([[0.0, 0.25, 0.0, 0.75, 0.0]] * 4)
+    # r = 0, u on the first running sum, r = 1 - 2**-53, and past the total
+    r = np.array([0.0, 0.25, 1.0 - 2**-53, 1.5])
+    assert born_pick_rows(probs, r).tolist() == [1, 3, 3, 3]
+    assert born_picker(probs[0])(r).tolist() == [1, 3, 3, 3]
+    with pytest.raises(ValueError, match="no support"):
+        born_pick_rows(np.array([[0.5, 0.5], [0.0, 0.0]]), np.array([0.5, 0.5]))
+
+
+def test_born_totals_are_sequential_running_sums():
+    # [0.1] * 10 adds up to 0.9999999999999999 term by term but to 1.0
+    # exactly, which sum() returns from Python 3.12 on
+    probs = [0.1] * 10
+    running = 0.0
+    for p in probs:
+        running += p
+    assert running == 0.9999999999999999 and math.fsum(probs) == 1.0
+    # r is the ninth running sum: u = r * running falls below it, so
+    # outcome 8 wins; u = r * 1.0 would equal it and let outcome 9 win
+    r = list(itertools.accumulate(probs))[8]
+    assert r * running < r == r * math.fsum(probs)
+    assert born_pick(probs, r) == 8
+    assert born_picker(probs)(np.array([r])).tolist() == [8]
+    assert born_pick_rows(np.array([probs]), np.array([r])).tolist() == [8]

@@ -4,7 +4,8 @@ The table of a plain single run is read straight from the evolved
 sector's amplitude vector; these tests hold it to the rows built the old
 way from `apply(u, state).items()` and to report bytes captured before
 the table stopped going through a `PhotonicState`.  The CSV writer is
-held to `reference_csv_text` (the `csv` module) on arbitrary reports.
+held to `reference_csv_text` (the `csv` module) and the JSON writer to
+`reference_json_text` (`json.dumps(indent=2)`) on arbitrary reports.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from loqsim.fock import make_basis_state
 from loqsim.interferometer import SECTOR_CAP, apply, compose, sector_size
 from loqsim.runner import Report, lower_elements, run
 
-from conftest import mesh_spec, reference_csv_text
+from conftest import mesh_spec, reference_csv_text, reference_json_text
 
 
 # sha256 of `loqsim run SPEC --format FMT` stdout, captured before the
@@ -161,14 +162,14 @@ CELLS = st.one_of(
 
 
 @st.composite
-def reports(draw):
-    width = draw(st.integers(1, 4))
+def reports(draw, cells=CELLS, min_width=1, keys=TRICKY_TEXT):
+    width = draw(st.integers(min_width, 4))
     columns = draw(st.lists(TRICKY_TEXT, min_size=width, max_size=width))
     # cells of one column share a kind most of the time, as in real reports
-    kinds = [CELLS, TRICKY_TEXT, st.floats(), st.integers(-10**20, 10**20)]
+    kinds = [cells, TRICKY_TEXT, st.floats(), st.integers(-10**20, 10**20)]
     column_kinds = [draw(st.sampled_from(kinds)) for _ in range(width)]
     rows = draw(st.lists(st.tuples(*column_kinds).map(list), max_size=12))
-    aggregate = draw(st.lists(st.tuples(TRICKY_TEXT, CELLS), max_size=3))
+    aggregate = draw(st.lists(st.tuples(keys, cells), max_size=3))
     return Report(draw(TRICKY_TEXT), columns, rows, aggregate, draw(st.integers(0, 2**31)))
 
 
@@ -201,3 +202,69 @@ def test_csv_text_refuses_ragged_rows():
     report = Report("single", ["a", "b"], [[1, 2], [3]], [], 0)
     with pytest.raises(ValueError):
         report.to_csv_text()
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps(indent=2)
+# ---------------------------------------------------------------------------
+
+# control characters, non-ASCII letters, a lone surrogate and the escapes
+ANY_TEXT = st.text(max_size=6) | st.text(
+    alphabet=st.sampled_from(list('a "\\/\x00\x1f\x7f\n\r\té☃\ud800\U0001f600')), max_size=6
+)
+NESTED = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ANY_TEXT, inner, max_size=2),
+    max_leaves=6,
+)
+JSON_CELLS = CELLS | ANY_TEXT | st.lists(NESTED, max_size=3) | st.dictionaries(
+    ANY_TEXT, NESTED, max_size=2
+)
+# dict keys json turns into text: bools, None, ints and floats
+JSON_KEYS = TRICKY_TEXT | ANY_TEXT | st.none() | st.booleans() | st.integers() | st.floats()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(reports(JSON_CELLS, min_width=0, keys=JSON_KEYS))
+def test_json_text_matches_json_dumps(report):
+    assert report.to_json_text() == reference_json_text(report)
+
+
+@pytest.mark.parametrize("columns, rows", [
+    (["only"], []),
+    ([], []),
+    ([], [[], []]),
+    (["only"], [[0], [-7], [10**30], [True], [False], [None], [np.int64(-3)], [np.uint8(200)]]),
+    (["only"], [[-0.0], [0.0], [5e-324], [1e300], [float("nan")], [float("inf")],
+                [float("-inf")], [np.float64(0.1)], [np.float32(0.1)], [np.float64("nan")]]),
+    (["only"], [["é"], ["\x00\x1f\x7f"], ['say "hi"\n'], ["\ud800"], [""]]),
+    (["a", "b"], [[[1, [2.5, None]], {"k": [], "é": {}}], [[], ()]]),
+])
+def test_json_text_edge_cells(columns, rows):
+    aggregate = [("empty", ""), ("flag", False), ("nested", [1, {"x": [2]}]), ("seed", -1)]
+    report = Report("single", columns, rows, aggregate, 0)
+    assert report.to_json_text() == reference_json_text(report)
+
+
+def test_json_text_blocks_of_rows():
+    rows = [[str(i), i / 7, i, None if i % 3 else [i]] for i in range(10_000)]
+    rows[700][1] = float("nan")  # a non-finite float in one block only
+    report = Report("single", ["a", "b", "c", "d"], rows, [], 5)
+    assert report.to_json_text() == reference_json_text(report)
+
+
+def test_json_text_refuses_what_json_refuses():
+    for cell in (np.bool_(True), {1, 2}, np.zeros(2), [np.int64(1)]):
+        report = Report("single", ["a"], [[cell]], [], 0)
+        with pytest.raises(TypeError):
+            reference_json_text(report)
+        with pytest.raises(TypeError):
+            report.to_json_text()
+    with pytest.raises(TypeError):
+        Report("single", ["a"], [], [((1, 2), 0)], 0).to_json_text()
+
+
+def test_json_text_refuses_ragged_rows():
+    report = Report("single", ["a", "b"], [[1, 2], [3]], [], 0)
+    with pytest.raises(ValueError):
+        report.to_json_text()

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -382,17 +383,25 @@ def test_one_trial_call_draws_in_the_report_order():
 
 
 def test_batched_cnot_draws_equal_the_one_draw_loop():
-    tails = straddles = 0
+    # one scan over a stack of streams against one draw at a time per stream
+    found = Counter()
     for seed in (0, 7919, 2**32 + 1):
-        for i in range(2000):
-            for force_attempts, force_bells in ((None, (None, None)), (None, (None, 2)),
-                                                (None, (1, None)), (None, (0, 3)),
-                                                (5, (None, None))):
-                got = cnot_draws(derive_rng(seed, i), force_attempts, force_bells)
-                want = reference_cnot_draws(derive_rng(seed, i), force_attempts, force_bells)
-                assert got == want, (seed, i, force_attempts, force_bells)
-            attempts, _bells = cnot_draws(derive_rng(seed, i))
-            tails += attempts > _ATTEMPT_DRAWS
-            straddles += _ATTEMPT_DRAWS - 2 <= attempts <= _ATTEMPT_DRAWS
-    # the sequential tail and Bell draws past the batch were both exercised
-    assert tails > 100 and straddles > 10
+        for force_attempts, bells in ((None, 2), (None, 1), (None, 0), (5, 2), (5, 0)):
+            attempts, draws = cnot_draws(
+                [derive_rng(seed, i) for i in range(2000)], force_attempts, bells
+            )
+            assert attempts.shape == (2000,) and draws.shape == (2000, bells)
+            for i in range(2000):
+                want = reference_cnot_draws(derive_rng(seed, i), force_attempts, (None,) * bells)
+                assert (int(attempts[i]), tuple(draws[i].tolist())) == want, (seed, i)
+            if force_attempts is None and bells == 2:
+                found.update(min(int(a), _ATTEMPT_DRAWS + 1) for a in attempts)
+    # no hit in the batch, and a hit at index 38 or 39, whose Bell draws
+    # run past the batch, were all exercised
+    assert found[_ATTEMPT_DRAWS + 1] > 100
+    assert found[_ATTEMPT_DRAWS - 1] > 10 and found[_ATTEMPT_DRAWS] > 10
+
+
+def test_cnot_draws_of_an_empty_stack():
+    attempts, draws = cnot_draws([])
+    assert attempts.shape == (0,) and draws.shape == (0, 2)
