@@ -28,7 +28,7 @@ the returned output is branch-independent for properly adapted patterns.
 each node and bond is added right before the first measurement that
 needs it, so the dense state spans only the active (added, unmeasured)
 nodes.  A graph declares at most NODE_CAP nodes; the random stream is
-drawn at most once per measurement.
+drawn once per measurement.
 
 The dense state runs on the qubit kernels of `encoding`: `with_node`
 grows it with `outer`, `with_bond` (CZ) and `with_pauli` (X flips the
@@ -252,7 +252,6 @@ def measure_node(
     outcomes: Mapping[int, int],
     frame: PauliFrame,
     seed,
-    force: int | None = None,
 ) -> MeasureResult:
     """Projectively measure one node and update the byproduct frame."""
     node = instr.node
@@ -276,7 +275,7 @@ def measure_node(
         eff = 0.0
         vectors = _Z_BASIS
 
-    outcome, amps, _p = project(state.amps, len(state.nodes), (i,), vectors, seed, force)
+    outcome, amps, _p = project(state.amps, len(state.nodes), (i,), vectors, seed)
     rest_nodes = state.nodes[:i] + state.nodes[i + 1 :]
     new_state = ClusterState(state.graph, rest_nodes, amps)
 
@@ -313,20 +312,16 @@ def _basis_label(instr: MeasurementInstruction, eff: float) -> str:
 
 
 def run_pattern(
-    graph: ClusterGraph,
-    schedule: Sequence[MeasurementInstruction],
-    seed,
-    force: Mapping[int, int] | None = None,
+    graph: ClusterGraph, schedule: Sequence[MeasurementInstruction], seed
 ) -> PatternResult:
     """Run the schedule on a cluster grown just in time, then correct.
 
     Before each measurement the node and its not yet bonded edges (in
     declared order, with their missing endpoints) are added; the rest
-    follow in declared order after the schedule.  `force` pins chosen
-    nodes' outcomes (for exploring all branches); unforced nodes sample
-    from the Born rule with the given seed.  A measurement takes at most
-    one uniform draw (a forced one none), so an int seed takes its
-    len(schedule) draws of default_rng(seed) up front.
+    follow in declared order after the schedule.  Each measurement takes
+    one uniform draw for its Born-rule pick, so an int seed takes its
+    len(schedule) draws of default_rng(seed) up front; a `Draws` of
+    chosen values steers every outcome (see `detection`).
     """
     _check_node_cap(graph)
     if isinstance(seed, (int, np.integer)):
@@ -358,8 +353,7 @@ def run_pattern(
     for instr in schedule:
         add(instr.node)
         bond(e for e in graph.edges if instr.node in e)
-        forced = None if force is None else force.get(instr.node)
-        result = measure_node(state, instr, outcomes, frame, rng, forced)
+        result = measure_node(state, instr, outcomes, frame, rng)
         state, frame = result.state, result.frame
         outcomes[instr.node] = result.outcome
         transcript.append(

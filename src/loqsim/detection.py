@@ -30,9 +30,10 @@ with its own r (the batched teleported CNOT's Bell outcomes), and
 `born_picker` to an array of draws on one outcome list, building the
 running sums once and finding each pick with `np.searchsorted` (the
 sampling runs).  `project` is the one dense projective measurement (Bell
-analysis, cluster nodes).  `force` names an outcome index instead of
-drawing (no random number is used); an index out of range or below
-PROB_TOL in probability is refused.
+analysis, cluster nodes).  Draws are the one way to choose an outcome
+(a `Draws` of chosen values): r = 0.0 picks the first outcome with
+p > 0, r = 1 - 2**-53 the last (unless its p is too small to move the
+running sum), and over k equal outcomes r = (j + 1/2) / k picks outcome j.
 
 Trial i of a Monte Carlo run draws from its own PCG64 stream
 derive_rng(seed, i), the stream of np.random.default_rng([seed, i]), so
@@ -63,7 +64,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .encoding import axes_first
-from .fock import PRUNE_THRESHOLD, Occupation, PhotonicState
+from .fock import PRUNE_THRESHOLD, Occupation, PhotonicState, running_total
 
 PROB_TOL = 1e-12
 
@@ -193,7 +194,7 @@ class HeraldGroups:
     def _weight(self, g: int) -> float:
         if g not in self._weights:
             amps = self._amps[self._group_rows(g)].tolist()
-            self._weights[g] = sum(abs(a) ** 2 for a in amps)
+            self._weights[g] = running_total(abs(a) ** 2 for a in amps)
         return self._weights[g]
 
     def record(self, detector: DetectorModel = IDEAL_DETECTOR) -> DetectionRecord:
@@ -310,7 +311,6 @@ _MASK32 = 0xFFFFFFFF
 # streams hashed at once; on a 2-core Xeon the hash costs 0.24 us a stream
 # at 1024 and 2.5 us at 64, against 9-12 us for one SeedSequence
 _HASH_CHUNK = 1024
-_HASH_MIN = 16  # below this the hash's fixed 0.1-0.2 ms costs more
 
 
 def _words(n: int) -> list[int]:
@@ -504,18 +504,12 @@ def trial_rngs(seed: int, start: int, stop: int) -> Iterator[np.random.Generator
 
     Streams are hashed _HASH_CHUNK indices at a time in array arithmetic
     (`_seed_states`), so a stream costs its PCG64 and Generator and a
-    share of the chunk's hash.  A chunk of fewer than _HASH_MIN indices
-    takes derive_rng itself.  Every stream equals
+    share of the chunk's hash.  Every stream equals
     np.random.default_rng([seed, i]) bit for bit.
     """
     seed, start, stop = int(seed), int(start), int(stop)
     for a in range(start, stop, _HASH_CHUNK):
-        b = min(a + _HASH_CHUNK, stop)
-        if b - a < _HASH_MIN:
-            yield from (derive_rng(seed, i) for i in range(a, b))
-            continue
-        with np.errstate(over="ignore"):
-            states = _stream_states(seed, a, b)
+        states = _stream_states(seed, a, min(a + _HASH_CHUNK, stop))
         generator, pcg64, seed_state = np.random.Generator, np.random.PCG64, _seed_state_type()
         for row in states:
             yield generator(pcg64(seed_state(row)))
@@ -524,17 +518,13 @@ def trial_rngs(seed: int, start: int, stop: int) -> Iterator[np.random.Generator
 def born_pick(probs: Sequence[float], r: float) -> int:
     """The Born-rule pick for one uniform draw r over unnormalized
     probabilities: u = r * total, with the total the last running sum of
-    sequential additions (not `sum`, whose rounding changed in Python
-    3.12), and the first outcome with p > 0 whose running sum exceeds u
-    wins.
+    sequential additions (`running_total`), and the first outcome with
+    p > 0 whose running sum exceeds u wins.
 
     If rounding leaves u at or past the running total, the last outcome
     with p > 0 is returned; all-zero probabilities are an error.
     """
-    total = 0.0
-    for p in probs:
-        total += p
-    u = r * total
+    u = r * running_total(probs)
     acc = 0.0
     last = None
     for k, p in enumerate(probs):
@@ -590,22 +580,14 @@ def born_picker(probs: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
     return pick
 
 
-def sample(probs: Sequence[float], seed, force: int | None = None) -> int:
+def sample(probs: Sequence[float], seed) -> int:
     """Born-rule draw of an outcome index: one uniform draw, then
-    `born_pick`.  `force` returns that index without drawing, if it is
-    possible.
-    """
-    if force is not None:
-        if force not in range(len(probs)):
-            raise ValueError(f"forced outcome {force} is not one of {len(probs)} outcomes")
-        if probs[force] < PROB_TOL:
-            raise ValueError(f"forced outcome {force} has probability 0")
-        return force
+    `born_pick`."""
     return born_pick(probs, rng_from_seed(seed).random())
 
 
 def project(
-    amps: np.ndarray, n: int, axes: Sequence[int], vectors, seed, force: int | None = None
+    amps: np.ndarray, n: int, axes: Sequence[int], vectors, seed
 ) -> tuple[int, np.ndarray, float]:
     """Measure qubit axes of an n-qubit vector against outcome vectors.
 
@@ -617,7 +599,7 @@ def project(
     t = axes_first(amps, n, axes)
     branches = [v.conj() @ t for v in vectors]
     probs = [float(np.linalg.norm(b) ** 2) for b in branches]
-    index = sample(probs, seed, force)
+    index = sample(probs, seed)
     return index, branches[index] / math.sqrt(probs[index]), probs[index]
 
 

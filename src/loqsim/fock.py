@@ -23,13 +23,22 @@ same core (complex amplitudes, pruning) without those checks.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from typing import Iterable, Iterator, Mapping
 
 PRUNE_THRESHOLD = 1e-12
 
 Occupation = tuple[int, ...]
+
+
+def running_total(values: Iterable[float]) -> float:
+    """The sum of `values` by sequential additions from 0, as `sum()` of
+    floats was before Python 3.12 made it compensated: report values do
+    not depend on the interpreter."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def _check_occupation(occ: Iterable[int], mode_count: int) -> Occupation:
@@ -90,7 +99,7 @@ class PhotonicState:
         return len(self._terms)
 
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self._terms.values())
+        return running_total(abs(a) ** 2 for a in self._terms.values())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())

@@ -56,7 +56,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fock import Occupation, PhotonicState
+from .fock import Occupation, PhotonicState, running_total
 
 UNITARITY_TOL = 1e-10
 SECTOR_CAP = 200_000  # amplitudes in one photon-number sector
@@ -425,7 +425,7 @@ def evolve_sector(
                 v = raised
                 k += 1
         total += v
-    weight = sum(abs(amp) ** 2 for _occ, amp in terms)
+    weight = running_total(abs(amp) ** 2 for _occ, amp in terms)
     norm2 = np.vdot(total, total).real
     if abs(norm2 - weight) > PRECISION_TOL * weight:
         raise ValueError(

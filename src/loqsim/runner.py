@@ -36,7 +36,7 @@ from .detection import (
 )
 from .dsl import ElementSpec, ExperimentSpec, SpecError
 from .encoding import LogicalState, QubitEncoding, decode, outer
-from .fock import PRUNE_THRESHOLD, PhotonicState, make_basis_state
+from .fock import PRUNE_THRESHOLD, PhotonicState, make_basis_state, running_total
 from .heralded import HeraldedGate, klm_cnot, run_photonic
 from .interferometer import (
     SECTOR_CAP,
@@ -383,7 +383,7 @@ def _run_single(spec: ExperimentSpec, seed: int) -> Report:
         "single",
         ["occupation", "re", "im", "probability"],
         rows,
-        [("norm_squared", sum(row[3] for row in rows))],
+        [("norm_squared", running_total(row[3] for row in rows))],
         seed,
     )
 

@@ -33,7 +33,9 @@ own row of probabilities by `detection.born_pick_rows` with its own
 draw) and the commuted corrections as index and sign tables.
 `teleported_cnot` is the one-run call of the same two phases, on stacks
 of one; a Monte Carlo report makes one call of each phase per block of
-trials.
+trials.  Draws alone choose outcomes: a Bell outcome has probability
+1/4 here, so a draw of 0.125 + 0.25 k picks label k, and a table of such
+draws runs any chosen branch through `teleported_cnot_block`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detection import born_pick_rows, project, rng_from_seed, sample
+from .detection import born_pick_rows, project, rng_from_seed
 from .encoding import LogicalState, axes_first, on_qubits, outer
 from .heralded import conditional_logical_map, klm_cnot
 
@@ -116,46 +118,36 @@ def bell_pair() -> LogicalState:
     return LogicalState._trusted(_BELL_VECTORS[BellLabel.PHI_PLUS], 2)
 
 
-def _forced_index(labels: list, force) -> int | None:
-    """Index of the forced outcome label `force`, None if none is forced."""
-    if force is not None and force not in labels:
-        raise ValueError(f"unknown forced outcome {force!r}")
-    return None if force is None else labels.index(force)
-
-
 def _project_outcomes(
     state: LogicalState,
     qubits: tuple[int, int],
     projectors: list[tuple[object, np.ndarray]],
     seed,
-    force=None,
 ) -> tuple[object, LogicalState]:
-    """Draw one labelled outcome on a qubit pair; `force` is a label."""
+    """Draw one labelled outcome on a qubit pair."""
     i, j = qubits
     if i == j or not (0 <= i < state.n and 0 <= j < state.n):
         raise ValueError(f"invalid qubit pair {qubits} for {state.n} qubits")
-    labels = [label for label, _ in projectors]
-    forced = _forced_index(labels, force)
     vectors = [vec for _, vec in projectors]
-    index, residual, _p = project(state.amps, state.n, qubits, vectors, seed, forced)
-    return labels[index], LogicalState._trusted(residual, state.n - 2)
+    index, residual, _p = project(state.amps, state.n, qubits, vectors, seed)
+    return projectors[index][0], LogicalState._trusted(residual, state.n - 2)
 
 
 def bell_measure_ideal(
     state: LogicalState,
     qubits: tuple[int, int],
     seed,
-    force: BellLabel | None = None,
 ) -> tuple[BellLabel, LogicalState]:
-    """Projective Bell measurement; returns the remaining qubits' state."""
-    return _project_outcomes(state, qubits, list(_BELL_VECTORS.items()), seed, force)
+    """Projective Bell measurement; returns the remaining qubits' state.
+    The outcomes are picked in `BellLabel` order, each with probability
+    1/4 on half of a Bell pair, so a draw of 0.125 + 0.25 k picks label k."""
+    return _project_outcomes(state, qubits, list(_BELL_VECTORS.items()), seed)
 
 
 def bell_measure_linear_optics(
     state: LogicalState,
     qubits: tuple[int, int],
     seed,
-    force=None,
 ) -> tuple[BellLabel | FailureRecord, LogicalState]:
     """Bell analysis with linear-optics failure semantics.
 
@@ -169,14 +161,10 @@ def bell_measure_linear_optics(
         (FailureRecord((0, 0)), np.array([1, 0, 0, 0], dtype=complex)),
         (FailureRecord((1, 1)), np.array([0, 0, 0, 1], dtype=complex)),
     ]
-    return _project_outcomes(state, qubits, projectors, seed, force)
+    return _project_outcomes(state, qubits, projectors, seed)
 
 
-def teleport_qubit(
-    state: LogicalState,
-    seed,
-    force: BellLabel | None = None,
-) -> tuple[LogicalState, PauliCorrection]:
+def teleport_qubit(state: LogicalState, seed) -> tuple[LogicalState, PauliCorrection]:
     """Teleport one qubit through a fresh Bell pair and correct it.
 
     The corrected output equals the input up to global phase for every
@@ -185,7 +173,7 @@ def teleport_qubit(
     if state.n != 1:
         raise ValueError("teleport_qubit takes a single-qubit state")
     joint = state.tensor(bell_pair())
-    label, residual = bell_measure_ideal(joint, (0, 1), seed, force)
+    label, residual = bell_measure_ideal(joint, (0, 1), seed)
     x, z = _CORRECTION_FOR[label]
     correction = PauliCorrection(x, z)
     return correction.apply(residual), correction
@@ -213,66 +201,52 @@ def _cnot_resource() -> tuple[float, np.ndarray]:
 _ATTEMPT_DRAWS = 40
 
 
-def cnot_draws(
-    rngs: Sequence[np.random.Generator],
-    force_attempts: int | None = None,
-    bells: int = 2,
-) -> tuple[np.ndarray, np.ndarray]:
+def cnot_draws(rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """Phase 1 of a stack of teleported CNOTs, one per stream in `rngs`:
-    each run's attempt count, then its `bells` uniform Bell draws, as a
-    (T,) int array and a (T, bells) table.
+    each run's attempt count, then its two uniform Bell draws, as a (T,)
+    int array and a (T, 2) table.
 
     The values are those of one `rng.random()` per attempt until the
-    herald fires (none if `force_attempts` gives the count), then one per
-    Bell draw.  Each stream gives `rng.random(_ATTEMPT_DRAWS)`, and one
-    scan of the stacked table finds every first hit and the Bell draws
-    after it.  Only a run with no hit, or whose Bell draws run past the
-    table, goes on with one call per value, in the same order.  A stream
-    may be left further along than the last value used: pass streams
-    that nothing draws from afterwards, as each Monte Carlo trial's own
-    stream is.
+    herald fires, then one per Bell draw.  Each stream gives
+    `rng.random(_ATTEMPT_DRAWS)`, and one scan of the stacked table finds
+    every first hit and the Bell draws after it.  Only a run with no hit,
+    or whose Bell draws run past the table, goes on with one call per
+    value, in the same order.  A stream may be left further along than
+    the last value used: pass streams that nothing draws from afterwards,
+    as each Monte Carlo trial's own stream is.
     """
     count = len(rngs)
-    if force_attempts is None:
-        p_success, _gate_action = _cnot_resource()
-        u = np.array([rng.random(_ATTEMPT_DRAWS) for rng in rngs]).reshape(count, _ATTEMPT_DRAWS)
-        hit = u < p_success
-        attempts = hit.argmax(axis=1) + 1  # 1 on a row with no hit
-        missed = ~hit.any(axis=1)
-    else:
-        u = np.empty((count, 0))
-        attempts = np.full(count, int(force_attempts))
-        missed = np.zeros(count, dtype=bool)
-    slow = missed | (attempts + bells > u.shape[1])
-    draws = np.empty((count, bells))
+    p_success, _gate_action = _cnot_resource()
+    u = np.array([rng.random(_ATTEMPT_DRAWS) for rng in rngs]).reshape(count, _ATTEMPT_DRAWS)
+    hit = u < p_success
+    attempts = hit.argmax(axis=1) + 1  # 1 on a row with no hit
+    missed = ~hit.any(axis=1)
+    slow = missed | (attempts + 2 > _ATTEMPT_DRAWS)
+    draws = np.empty((count, 2))
     fast = ~slow
-    draws[fast] = np.take_along_axis(u[fast], attempts[fast, None] + np.arange(bells), axis=1)
+    draws[fast] = np.take_along_axis(u[fast], attempts[fast, None] + np.arange(2), axis=1)
     for t in np.flatnonzero(slow).tolist():
         rng = rngs[t]
         if missed[t]:
-            tries = u.shape[1] + 1
+            tries = _ATTEMPT_DRAWS + 1
             while rng.random() >= p_success:
                 tries += 1
             attempts[t] = tries
         rest = u[t, attempts[t]:].tolist()  # the values after the one that fired
-        draws[t] = [rest.pop(0) if rest else rng.random() for _ in range(bells)]
+        draws[t] = [rest.pop(0) if rest else rng.random() for _ in range(2)]
     return attempts, draws
 
 
 _BELL_ROWS = np.array(list(_BELL_VECTORS.values())).conj()
 
 
-def _bell_block(state: np.ndarray, n: int, qubits, draws, force: int | None):
+def _bell_block(state: np.ndarray, n: int, qubits, draws):
     """Ideal Bell measurement of a qubit pair on every row of a (T, 2**n)
-    stack; row t picks with draws[t], unless `force` names the outcome
-    index for all rows.  Returns the outcome indices and the (T, 2**(n-2))
-    renormalized states of the other qubits."""
+    stack; row t picks with draws[t].  Returns the outcome indices and the
+    (T, 2**(n-2)) renormalized states of the other qubits."""
     branches = _BELL_ROWS @ axes_first(state, n, qubits)
     probs = np.linalg.norm(branches, axis=-1) ** 2
-    if force is None:
-        index = born_pick_rows(probs, draws)
-    else:
-        index = np.array([sample(p, None, force) for p in probs.tolist()])
+    index = born_pick_rows(probs, draws)
     rows = np.arange(len(index))
     return index, branches[rows, index] / np.sqrt(probs[rows, index])[:, None]
 
@@ -296,26 +270,24 @@ _FIX_INDEX, _FIX_SIGN = _correction_tables()
 
 
 def teleported_cnot_block(
-    control: np.ndarray,
-    target: np.ndarray,
-    draws: np.ndarray,
-    force_bells: tuple = (None, None),
+    control: np.ndarray, target: np.ndarray, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Phase 2 of T teleported CNOTs on normalized (T, 2) input stacks.
 
-    `draws` holds each run's two Bell draws, (T, 2); `force_bells` may
-    name an outcome index per measurement instead, and that column of
-    `draws` is not read.  Returns the (T, 4) corrected outputs and the
-    (T, 2) Bell outcome indices (in `BellLabel` order).
+    `draws` holds each run's two Bell draws, (T, 2).  Every Bell outcome
+    has probability 1/4, so a draw of 0.125 + 0.25 k picks label k, and a
+    table of chosen draws runs chosen branches.  Returns the (T, 4)
+    corrected outputs and the (T, 2) Bell outcome indices (in `BellLabel`
+    order).
     """
     _p_success, gate_action = _cnot_resource()
     pair = _BELL_VECTORS[BellLabel.PHI_PLUS]
     # qubits: 0 = control in, (1, 2) = pair A, 3 = target in, (4, 5) = pair B
     state = outer(outer(outer(control, pair), target), pair)
     state = on_qubits(state, 6, gate_action, (2, 5))
-    label_c, state = _bell_block(state, 6, (0, 1), draws[:, 0], force_bells[0])
+    label_c, state = _bell_block(state, 6, (0, 1), draws[:, 0])
     # remaining qubit order: (a2, target in, b1, b2)
-    label_t, state = _bell_block(state, 4, (1, 2), draws[:, 1], force_bells[1])
+    label_t, state = _bell_block(state, 4, (1, 2), draws[:, 1])
     # remaining qubit order: (a2, b2) = (control out, target out)
     fix = 4 * label_c + label_t
     out = _FIX_SIGN[fix] * np.take_along_axis(state, _FIX_INDEX[fix], axis=1)
@@ -323,11 +295,7 @@ def teleported_cnot_block(
 
 
 def teleported_cnot(
-    control: LogicalState,
-    target: LogicalState,
-    seed,
-    force_attempts: int | None = None,
-    force_bells: tuple[BellLabel, BellLabel] | None = None,
+    control: LogicalState, target: LogicalState, seed
 ) -> tuple[LogicalState, ResourceTally]:
     """Repeat-until-success CNOT via gate teleportation.
 
@@ -337,17 +305,13 @@ def teleported_cnot(
     pre-gated pairs with ideal Bell measurements and the commuted
     correction set is applied.  This is `cnot_draws` and
     `teleported_cnot_block` on stacks of one; a Generator passed as
-    `seed` may be left past the values used (see `cnot_draws`).
+    `seed` may be left past the values used (see `cnot_draws`).  A chosen
+    branch is run by `teleported_cnot_block` with chosen draws.
     """
     if control.n != 1 or target.n != 1:
         raise ValueError("teleported_cnot takes two single-qubit states")
-    labels = list(_BELL_VECTORS)
-    force = [_forced_index(labels, f) for f in force_bells or (None, None)]
-    free = [k for k, f in enumerate(force) if f is None]
-    attempts, free_draws = cnot_draws([rng_from_seed(seed)], force_attempts, len(free))
-    draws = np.full((1, 2), np.nan)  # a forced measurement draws nothing
-    draws[:, free] = free_draws
-    out, _labels = teleported_cnot_block(control.amps[None], target.amps[None], draws, force)
+    attempts, draws = cnot_draws([rng_from_seed(seed)])
+    out, _labels = teleported_cnot_block(control.amps[None], target.amps[None], draws)
     attempts = int(attempts[0])
     return LogicalState._trusted(out[0], 2), ResourceTally(attempts, 2 * attempts)
 

@@ -24,6 +24,7 @@ from loqsim.detection import (
     PROB_TOL,
     DetectionRecord,
     DetectorModel,
+    Draws,
     HeraldPattern,
     measure_all,
     rng_from_seed,
@@ -43,6 +44,7 @@ from loqsim.interferometer import (
 from loqsim.runner import Report, _cluster_parts, _gate_for, lower_elements
 from loqsim.teleport import (
     _CORRECTION_FOR,
+    BellLabel,
     PauliCorrection,
     _cnot_resource,
     bell_measure_ideal,
@@ -393,18 +395,37 @@ def _random_qubit(rng) -> LogicalState:
     return LogicalState._trusted(v / np.linalg.norm(v), 1)
 
 
-def reference_cnot_draws(rng, force_attempts=None, force_bells=(None, None)):
+def reference_cnot_draws(rng):
     """The one-draw loop that `cnot_draws` batches: one `rng.random()` per
-    attempt until one falls below the herald probability, then one per
-    Bell measurement that is not forced."""
-    if force_attempts is not None:
-        attempts = int(force_attempts)
-    else:
-        p_success, _gate_action = _cnot_resource()
-        attempts = 1
-        while rng.random() >= p_success:
-            attempts += 1
-    return attempts, tuple(rng.random() if f is None else None for f in force_bells)
+    attempt until one falls below the herald probability, then one for
+    each of the two Bell measurements."""
+    p_success, _gate_action = _cnot_resource()
+    attempts = 1
+    while rng.random() >= p_success:
+        attempts += 1
+    return attempts, (rng.random(), rng.random())
+
+
+def steering_draws(bits) -> Draws:
+    """Draws that pick outcome bits[k] at the k-th two-outcome measurement
+    whose outcomes are both possible: 0.0 picks the first outcome with
+    p > 0 and 1 - 2**-53 the last."""
+    return Draws([1.0 - 2.0**-53 if b else 0.0 for b in bits])
+
+
+def bell_draw(label_index):
+    """The draw that picks Bell label `label_index` (in `BellLabel` order)
+    out of four equally likely outcomes; elementwise on an array."""
+    return 0.125 + 0.25 * label_index
+
+
+# the textbook byproduct of each Bell outcome: (X, Z) on the receiving qubit
+BELL_CORRECTIONS = {
+    BellLabel.PHI_PLUS: PauliCorrection(False, False),
+    BellLabel.PHI_MINUS: PauliCorrection(False, True),
+    BellLabel.PSI_PLUS: PauliCorrection(True, False),
+    BellLabel.PSI_MINUS: PauliCorrection(True, True),
+}
 
 
 def serial_teleported_cnot(seed: int, trials: int):

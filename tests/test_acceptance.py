@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from loqsim.cluster import linear_rotation_pattern, run_pattern
-from loqsim.detection import HeraldPattern, herald
+from loqsim.detection import Draws, HeraldPattern, herald
 from loqsim.encoding import LogicalState, decompose_su2, reconstruct_waveplates
 from loqsim.fock import PhotonicState, make_basis_state
 from loqsim.heralded import klm_cnot, ns_gate, run_heralded, run_photonic
@@ -29,10 +29,13 @@ from loqsim.runner import teleport_cnot_report
 from loqsim.teleport import BellLabel, cnot_matrix, teleport_qubit
 
 from conftest import (
+    BELL_CORRECTIONS,
     assert_matches_monolithic,
+    bell_draw,
     naive_permanent,
     random_logical_amps,
     random_unitary,
+    steering_draws,
 )
 
 from test_cluster import _random_case, _rotation_oracle
@@ -106,12 +109,13 @@ def test_criterion_5_teleportation():
     rng = np.random.default_rng(505)
     for _ in range(100):
         state = LogicalState(random_logical_amps(rng, 1))
-        for label in BellLabel:
-            out, _ = teleport_qubit(state, 0, force=label)
+        for k, label in enumerate(BellLabel):
+            out, correction = teleport_qubit(state, Draws([bell_draw(k)]))
+            assert correction == BELL_CORRECTIONS[label]
             assert out.overlap(state) >= 1 - 1e-12
     elapsed = _budget(t0, 5.0, "criterion 5")
     print(f"ACCEPTANCE 5 PASS: teleportation exact for 100 random states x 4 "
-          f"forced Bell outcomes [{elapsed:.2f}s]")
+          f"steered Bell outcomes [{elapsed:.2f}s]")
 
 
 def test_criterion_6_cluster_equivalence():
@@ -122,7 +126,8 @@ def test_criterion_6_cluster_equivalence():
         graph, schedule = linear_rotation_pattern(alpha, beta, gamma)
         oracle = _rotation_oracle(alpha, beta, gamma)
         for bits in itertools.product((0, 1), repeat=4):
-            result = run_pattern(graph, schedule, 0, force=dict(zip(range(4), bits)))
+            result = run_pattern(graph, schedule, steering_draws(bits))
+            assert tuple(o for _n, _b, o in result.transcript) == bits
             assert result.output.overlap(oracle) >= 1 - 1e-10
     for case in range(50):
         graph, schedule = _random_case(rng)

@@ -21,7 +21,12 @@ from loqsim.detection import derive_rng
 from loqsim.encoding import LogicalState
 from loqsim.teleport import cnot_matrix
 
-from conftest import assert_matches_monolithic, full_operator, random_logical_amps
+from conftest import (
+    assert_matches_monolithic,
+    full_operator,
+    random_logical_amps,
+    steering_draws,
+)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
@@ -118,9 +123,9 @@ def test_two_node_teleportation_identity(rng):
             MeasurementInstruction(0, alpha, successor=1),
             {},
             PauliFrame(),
-            0,
-            force=outcome,
+            steering_draws([outcome]),
         )
+        assert result.outcome == outcome
         expected = _hz(alpha) @ np.array([SQRT_HALF, SQRT_HALF])
         if outcome == 1:
             expected = np.array([[0, 1], [1, 0]]) @ expected
@@ -156,7 +161,7 @@ def test_linear_rotation_all_branches(rng):
         graph, schedule = linear_rotation_pattern(alpha, beta, gamma)
         oracle = _rotation_oracle(alpha, beta, gamma)
         for bits in itertools.product((0, 1), repeat=4):
-            result = run_pattern(graph, schedule, 0, force=dict(zip(range(4), bits)))
+            result = run_pattern(graph, schedule, steering_draws(bits))
             assert result.output.overlap(oracle) > 1 - 1e-10
             assert tuple(o for _n, _b, o in result.transcript) == bits
 
@@ -169,8 +174,10 @@ def test_empty_schedule_returns_cluster():
     assert result.transcript == ()
 
 
-def _prepared_run(graph, inputs, schedule, force):
-    """Measure `schedule` on a cluster whose listed nodes start in `inputs`.
+def _prepared_run(graph, inputs, schedule, draws):
+    """Measure `schedule` on a cluster whose listed nodes start in `inputs`,
+    picking outcomes with `draws`; returns the corrected output and the
+    outcomes.
 
     Cluster nodes start in |+>; a pattern's logical input is an arbitrary
     state on its input nodes, which this builds directly before bonding.
@@ -183,12 +190,12 @@ def _prepared_run(graph, inputs, schedule, force):
         state = state.with_bond(a, b)
     frame, outcomes = PauliFrame(), {}
     for instr in schedule:
-        result = measure_node(state, instr, outcomes, frame, 0, force[instr.node])
+        result = measure_node(state, instr, outcomes, frame, draws)
         state, frame = result.state, result.frame
         outcomes[instr.node] = result.outcome
     for node, (x, z) in frame.items():
         state = state.with_pauli(node, x, z)
-    return state.sorted_logical()
+    return state.sorted_logical(), outcomes
 
 
 def test_horseshoe_cnot_pattern(rng):
@@ -213,13 +220,16 @@ def test_horseshoe_cnot_pattern(rng):
         c_amp, t_amp = np.array(c_amp), np.array(t_amp)
         expected = LogicalState(cnot @ np.kron(c_amp, t_amp))
         for bits in itertools.product((0, 1), repeat=2):
-            force = {1: bits[0], 2: bits[1]}
-            output = _prepared_run(graph, {0: c_amp, 1: t_amp}, schedule, force)
+            output, outcomes = _prepared_run(
+                graph, {0: c_amp, 1: t_amp}, schedule, steering_draws(bits)
+            )
+            assert outcomes == {1: bits[0], 2: bits[1]}
             assert output.overlap(expected) > 1 - 1e-10
     # run_pattern itself starts every node in |+>
     expected = LogicalState(cnot @ np.full(4, 0.5, dtype=complex))
     for bits in itertools.product((0, 1), repeat=2):
-        result = run_pattern(graph, schedule, 0, force={1: bits[0], 2: bits[1]})
+        result = run_pattern(graph, schedule, steering_draws(bits))
+        assert tuple(o for _n, _b, o in result.transcript) == bits
         assert result.output.overlap(expected) > 1 - 1e-10
 
 
@@ -328,13 +338,6 @@ def test_run_pattern_grows_just_in_time(monkeypatch, case, widest):
     run_pattern(graph, schedule, 3)
     assert len(widths) == len(schedule)
     assert max(widths) <= widest
-
-
-@pytest.mark.parametrize("bad", [2, -1])
-def test_forced_outcome_outside_outcome_set_rejected(bad):
-    graph, schedule = linear_rotation_pattern(0.3, 0.2, 0.1)
-    with pytest.raises(ValueError, match="not one of 2 outcomes"):
-        run_pattern(graph, schedule, 0, force={0: bad})
 
 
 def _random_case(rng):

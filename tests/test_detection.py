@@ -13,7 +13,6 @@ from loqsim.detection import (
     HeraldGroups,
     HeraldPattern,
     _HASH_CHUNK,
-    _HASH_MIN,
     _stream_states,
     born_pick,
     born_pick_rows,
@@ -301,16 +300,6 @@ def test_sample_refuses_all_zero_probabilities():
         sample([], 0)
 
 
-def test_sample_refuses_forced_outcomes_outside_the_set_or_impossible():
-    probs = [0.5, 0.5 - 1e-13, 1e-13]
-    assert sample(probs, 0, force=1) == 1
-    for bad in (3, -1):
-        with pytest.raises(ValueError, match="not one of 3 outcomes"):
-            sample(probs, 0, force=bad)
-    with pytest.raises(ValueError, match="probability 0"):
-        sample(probs, 0, force=2)
-
-
 def test_sample_frequencies_within_five_sigma():
     weights = [2.0, 3.0, 5.0]  # unnormalized on purpose
     n = 40_000
@@ -344,9 +333,10 @@ def _assert_default_rng_streams(seed, start, stop):
 def test_block_seeded_streams_are_the_default_rng_streams(seed):
     # indices 0..3000: three whole chunks, then a hashed partial one
     _assert_default_rng_streams(seed, 0, 3001)
-    # starts off the chunk grid, a short chunk seeded one stream at a time,
+    # starts off the chunk grid, short chunks of 15 streams and of one,
     # and chunks across 2**32, where an index gains a second word
-    _assert_default_rng_streams(seed, 37, 37 + _HASH_CHUNK + _HASH_MIN - 1)
+    _assert_default_rng_streams(seed, 37, 37 + _HASH_CHUNK + 15)
+    _assert_default_rng_streams(seed, 5, 6)
     _assert_default_rng_streams(seed, 2**32 - 20, 2**32 + 20)
     _assert_default_rng_streams(seed, 2**32 - 2, 2**32 + 3)
 
@@ -364,9 +354,9 @@ def test_block_hash_is_the_seed_sequence_hash(seed):
 
 def test_block_seeding_refuses_negative_entropy():
     with pytest.raises(ValueError):
-        list(trial_rngs(-1, 0, _HASH_MIN))
+        list(trial_rngs(-1, 0, 1))
     with pytest.raises(ValueError):
-        _stream_states(0, -_HASH_MIN, 0)
+        _stream_states(0, -16, 0)
 
 
 # seeds of four and five 32-bit words too: the command line takes any seed >= 0
@@ -499,6 +489,7 @@ def test_born_pick_rows_edges():
     r = np.array([0.0, 0.25, 1.0 - 2**-53, 1.5])
     assert born_pick_rows(probs, r).tolist() == [1, 3, 3, 3]
     assert born_picker(probs[0])(r).tolist() == [1, 3, 3, 3]
+    assert [born_pick(probs[0].tolist(), x) for x in r.tolist()] == [1, 3, 3, 3]
     with pytest.raises(ValueError, match="no support"):
         born_pick_rows(np.array([[0.5, 0.5], [0.0, 0.0]]), np.array([0.5, 0.5]))
 
@@ -518,3 +509,10 @@ def test_born_totals_are_sequential_running_sums():
     assert born_pick(probs, r) == 8
     assert born_picker(probs)(np.array([r])).tolist() == [8]
     assert born_pick_rows(np.array([probs]), np.array([r])).tolist() == [8]
+    # a state's squared norm and a herald probability add term by term too:
+    # ten terms of weight 0.1, all in the group where mode 10 counts 0
+    amp = math.sqrt(0.1)
+    state = PhotonicState(11, {tuple(int(j == k) for j in range(11)): amp for k in range(10)})
+    assert [abs(a) ** 2 for a in state.terms.values()] == probs
+    assert state.norm_squared() == running
+    assert herald(state, HeraldPattern(((10, 0),))).probability == running

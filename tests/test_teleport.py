@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from loqsim.detection import derive_rng, measure_all
+from loqsim.detection import Draws, derive_rng, measure_all
 from loqsim.encoding import LogicalState, QubitEncoding, decode, encode, marginal_bloch
 from loqsim.interferometer import apply, beamsplitter, compose
 from loqsim.teleport import (
@@ -21,9 +21,16 @@ from loqsim.teleport import (
     cnot_matrix,
     teleport_qubit,
     teleported_cnot,
+    teleported_cnot_block,
 )
 
-from conftest import random_logical_amps, reference_cnot_draws, serial_teleported_cnot
+from conftest import (
+    BELL_CORRECTIONS,
+    bell_draw,
+    random_logical_amps,
+    reference_cnot_draws,
+    serial_teleported_cnot,
+)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -200,25 +207,28 @@ def test_analyzer_against_photonic_network():
 
 def test_teleport_zero_all_outcomes():
     zero = LogicalState.from_bits("0")
-    for label in BellLabel:
-        out, _ = teleport_qubit(zero, 0, force=label)
+    for k, label in enumerate(BellLabel):
+        out, correction = teleport_qubit(zero, Draws([bell_draw(k)]))
+        assert correction == BELL_CORRECTIONS[label]
         assert out.overlap(zero) > 1 - 1e-12
 
 
 def test_teleport_random_states_all_outcomes(rng):
     for _ in range(100):
         state = LogicalState(random_logical_amps(rng, 1))
-        for label in BellLabel:
-            out, corr = teleport_qubit(state, 0, force=label)
+        for k, label in enumerate(BellLabel):
+            out, correction = teleport_qubit(state, Draws([bell_draw(k)]))
+            assert correction == BELL_CORRECTIONS[label]
             assert out.overlap(state) > 1 - 1e-12
-            assert isinstance(corr, PauliCorrection)
 
 
 def test_uncorrected_psi_minus_branch(rng):
     alpha, beta = random_logical_amps(rng, 1)
     state = LogicalState([alpha, beta])
     joint = state.tensor(bell_pair())
-    _, residual = bell_measure_ideal(joint, (0, 1), 0, force=BellLabel.PSI_MINUS)
+    psi_minus = list(BellLabel).index(BellLabel.PSI_MINUS)
+    label, residual = bell_measure_ideal(joint, (0, 1), Draws([bell_draw(psi_minus)]))
+    assert label is BellLabel.PSI_MINUS
     pattern = LogicalState(np.array([-beta, alpha]) / 1.0)
     assert residual.overlap(pattern) > 1 - 1e-12
 
@@ -244,13 +254,6 @@ def test_teleported_cnot_truth():
         assert tally.entangled_pairs_consumed == 2 * tally.attempts
 
 
-def test_forced_first_attempt_tally():
-    out, tally = teleported_cnot(
-        LogicalState.from_bits("1"), LogicalState.from_bits("0"), 0, force_attempts=1
-    )
-    assert tally == ResourceTally(attempts=1, entangled_pairs_consumed=2)
-
-
 def test_correction_commutation(rng):
     cnot = cnot_matrix()
     inputs = [
@@ -265,11 +268,17 @@ def test_correction_commutation(rng):
                 LogicalState(random_logical_amps(rng, 1)),
             )
         )
+    # one row per pair of Bell outcomes, each steered by its draws
+    branches = np.array(list(itertools.product(range(4), repeat=2)))
+    draws = bell_draw(branches)
     for c, t in inputs:
         expected = LogicalState(cnot @ c.tensor(t).amps)
-        for bells in itertools.product(BellLabel, repeat=2):
-            out, _ = teleported_cnot(c, t, 0, force_attempts=1, force_bells=bells)
-            assert out.overlap(expected) > 1 - 1e-10
+        out, labels = teleported_cnot_block(
+            np.tile(c.amps, (16, 1)), np.tile(t.amps, (16, 1)), draws
+        )
+        assert np.array_equal(labels, branches)
+        for row in out:
+            assert LogicalState(row).overlap(expected) > 1 - 1e-10
 
 
 def test_engine_outputs_skip_the_logical_checks(monkeypatch, rng):
@@ -315,16 +324,10 @@ def test_resource_tally_invariant():
         ResourceTally(attempts=3, entangled_pairs_consumed=5)
 
 
-def test_forced_bells_are_checked_and_may_be_partial():
+def test_teleported_cnot_takes_single_qubits():
     zero = LogicalState.from_bits("0")
-    with pytest.raises(ValueError, match="unknown forced outcome"):
-        teleported_cnot(zero, zero, 0, force_bells=("phi+", None))
     with pytest.raises(ValueError, match="single-qubit"):
         teleported_cnot(LogicalState.from_bits("00"), zero, 0)
-    one = LogicalState.from_bits("1")
-    for bells in ((BellLabel.PSI_MINUS, None), (None, BellLabel.PHI_MINUS)):
-        out, _ = teleported_cnot(one, zero, 3, force_bells=bells)
-        assert out.overlap(LogicalState.from_bits("11")) > 1 - 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +389,12 @@ def test_batched_cnot_draws_equal_the_one_draw_loop():
     # one scan over a stack of streams against one draw at a time per stream
     found = Counter()
     for seed in (0, 7919, 2**32 + 1):
-        for force_attempts, bells in ((None, 2), (None, 1), (None, 0), (5, 2), (5, 0)):
-            attempts, draws = cnot_draws(
-                [derive_rng(seed, i) for i in range(2000)], force_attempts, bells
-            )
-            assert attempts.shape == (2000,) and draws.shape == (2000, bells)
-            for i in range(2000):
-                want = reference_cnot_draws(derive_rng(seed, i), force_attempts, (None,) * bells)
-                assert (int(attempts[i]), tuple(draws[i].tolist())) == want, (seed, i)
-            if force_attempts is None and bells == 2:
-                found.update(min(int(a), _ATTEMPT_DRAWS + 1) for a in attempts)
+        attempts, draws = cnot_draws([derive_rng(seed, i) for i in range(2000)])
+        assert attempts.shape == (2000,) and draws.shape == (2000, 2)
+        for i in range(2000):
+            want = reference_cnot_draws(derive_rng(seed, i))
+            assert (int(attempts[i]), tuple(draws[i].tolist())) == want, (seed, i)
+        found.update(min(int(a), _ATTEMPT_DRAWS + 1) for a in attempts)
     # no hit in the batch, and a hit at index 38 or 39, whose Bell draws
     # run past the batch, were all exercised
     assert found[_ATTEMPT_DRAWS + 1] > 100

@@ -20,7 +20,7 @@ import pytest
 
 import loqsim
 from loqsim import runner
-from loqsim.cluster import linear_rotation_pattern, run_pattern
+from loqsim.cluster import run_pattern
 from loqsim.detection import _HASH_CHUNK
 from loqsim.dsl import parse
 from loqsim.runner import cluster_demo_report, run
@@ -57,8 +57,8 @@ def test_trials_report_equals_one_generator_per_trial(name, seed):
     _assert_same_bytes(run(spec, seed=seed, trials=trials), want)
 
 
-def _generator_run_pattern(graph, schedule, seed, force=None):
-    return run_pattern(graph, schedule, np.random.default_rng(seed), force)
+def _generator_run_pattern(graph, schedule, seed):
+    return run_pattern(graph, schedule, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
@@ -79,16 +79,6 @@ def test_single_cluster_reports_equal_generator_runs(seed, monkeypatch):
     monkeypatch.setattr(runner, "run_pattern", _generator_run_pattern)
     for g, w in zip(got, reports(), strict=True):
         _assert_same_bytes(g, w)
-
-
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_forced_measurements_draw_nothing(seed):
-    graph, schedule = linear_rotation_pattern(0.3, -1.1, 0.7)
-    for force in ({}, {1: 1}, {0: 0, 2: 1}, {0: 1, 1: 0, 2: 1, 3: 0}):
-        got = run_pattern(graph, schedule, seed, force)
-        want = run_pattern(graph, schedule, np.random.default_rng(seed), force)
-        assert got.transcript == want.transcript and got.frame == want.frame
-        assert np.array_equal(got.output.amps, want.output.amps)
 
 
 _PROBE = """
