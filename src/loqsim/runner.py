@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -31,7 +31,8 @@ from .detection import (
     HeraldGroups,
     HeraldPattern,
     born_picker,
-    trial_rngs,
+    standard_normals,
+    trial_stacks,
     trial_uniforms,
 )
 from .dsl import ElementSpec, ExperimentSpec, SpecError
@@ -426,28 +427,25 @@ def _run_sweep(spec: ExperimentSpec, seed: int) -> Report:
     return Report("sweep", columns, rows, [("steps", sw.steps)], seed)
 
 
-# teleport-cnot trials drawn and evolved at once; on a 2-core Xeon VM a
-# 3000-trial report builds in 29.6 ms at 128 against 33.4 ms at 64 with
-# 0.2 MiB more peak RSS, and 256 is no faster and holds 0.9 MiB more
+# teleport-cnot trials evolved at once (their draws are made a chunk of up
+# to 1024 trials at a time, `trial_stacks`); on a 2-core Xeon VM a
+# 3000-trial report builds in 25.2 ms at 128 against 28.5 ms at 64 and
+# 28.4 ms at 256 (medians of 40 in one process), and 256 holds 0.2 MiB
+# more at its peak
 _BLOCK = 128
 
 
-def _trial_rows(seed: int, trials: int, block, draws=None) -> list[list]:
+def _trial_rows(chunks, block) -> list[list]:
     """The one Monte Carlo loop: row [i, *values] per trial, each trial on
     its own stream derive_rng(seed, i).
 
-    With `draws` = k, block(u) is handed the (T, k) table of the first k
-    uniforms of T consecutive trials' streams, one `trial_uniforms` table
-    at a time.  Without it, block(rngs) is handed _BLOCK consecutive
-    trials' streams as Generators, from `trial_rngs`, for draws other
-    than uniforms.  block returns the rows' values as columns, one list
-    of T values per column after `i`.
+    `chunks` hands out the draws of consecutive trials from trial 0, one
+    chunk at a time: the (T, k) tables of their first k uniforms
+    (`trial_uniforms`), or the `PCG64Stack` of their streams
+    (`trial_stacks`), for draws other than uniforms.  block(chunk)
+    returns the rows' values as columns, one list of T values per column
+    after `i`.
     """
-    if draws is None:
-        streams = trial_rngs(seed, 0, trials)
-        chunks = (list(islice(streams, _BLOCK)) for _ in range(0, trials, _BLOCK))
-    else:
-        chunks = trial_uniforms(seed, 0, trials, draws)
     rows, start = [], 0
     for chunk in chunks:
         stop = start + len(chunk)
@@ -464,14 +462,16 @@ def _run_monte_carlo(spec: ExperimentSpec, seed: int, trials: int) -> Report:
             results = (run_pattern(graph, schedule, Draws(row)) for row in u.tolist())
             return [["".join(str(o) for _n, _b, o in r.transcript) for r in results]]
 
-        rows = _trial_rows(seed, trials, pattern_block, draws=len(schedule))
+        rows = _trial_rows(trial_uniforms(seed, 0, trials, len(schedule)), pattern_block)
         return Report(
             "monte-carlo", ["trial", "outcomes"], rows, [("trials", trials)], seed
         )
 
     if spec.gate is not None:
         p = run_photonic(_gate_for(spec), _evolved(spec), DetectorModel()).probability
-        rows = _trial_rows(seed, trials, lambda u: [(u[:, 0] < p).astype(int).tolist()], draws=1)
+        rows = _trial_rows(
+            trial_uniforms(seed, 0, trials, 1), lambda u: [(u[:, 0] < p).astype(int).tolist()]
+        )
         agg = [
             ("herald_probability", p),
             ("success_rate", sum(row[1] for row in rows) / trials),
@@ -488,7 +488,7 @@ def _run_monte_carlo(spec: ExperimentSpec, seed: int, trials: int) -> Report:
     cells = [np.array(labels, dtype=object)] + ([np.array(matched)] if counts else [])
 
     rows = _trial_rows(
-        seed, trials, lambda u: [c[pick(u[:, 0])].tolist() for c in cells], draws=1
+        trial_uniforms(seed, 0, trials, 1), lambda u: [c[pick(u[:, 0])].tolist() for c in cells]
     )
     columns = ["trial", "outcome"] + (["matched"] if counts else [])
     agg = [("trials", trials)]
@@ -551,21 +551,28 @@ def teleport_cnot_report(trials: int, seed: int) -> Report:
     trials = _checked_trials(trials)
     cnot_t = cnot_matrix().T
 
-    def block(rngs):
-        # each stream: real and imaginary parts of the control, then of the
-        # target, then the attempt and Bell draws
-        parts = np.array([rng.normal(size=(4, 2)) for rng in rngs])
-        attempts, bells = cnot_draws(rngs)
+    def evolve(parts, bells):
         control = parts[:, 0] + 1j * parts[:, 1]
         target = parts[:, 2] + 1j * parts[:, 3]
         control /= np.linalg.norm(control, axis=1, keepdims=True)
         target /= np.linalg.norm(target, axis=1, keepdims=True)
         output, _labels = teleported_cnot_block(control, target, bells)
         expected = outer(control, target) @ cnot_t
-        overlap = np.abs(np.sum(output.conj() * expected, axis=1))
-        return attempts.tolist(), (2 * attempts).tolist(), overlap.tolist()
+        return np.abs(np.sum(output.conj() * expected, axis=1))
 
-    rows = _trial_rows(seed, trials, block)
+    def block(stack):
+        # each stream: normal(size=(4, 2)), the real and imaginary parts of
+        # the control, then of the target (0.0 + x, as normal() adds its
+        # loc: -0.0 becomes 0.0), then the attempt and Bell draws
+        parts = np.stack([0.0 + standard_normals(stack) for _ in range(8)], axis=1)
+        parts = parts.reshape(len(stack), 4, 2)
+        attempts, bells = cnot_draws(stack)
+        overlap = [
+            evolve(parts[a:a + _BLOCK], bells[a:a + _BLOCK]) for a in range(0, len(stack), _BLOCK)
+        ]
+        return attempts.tolist(), (2 * attempts).tolist(), np.concatenate(overlap).tolist()
+
+    rows = _trial_rows(trial_stacks(seed, 0, trials), block)
     total_pairs = sum(row[2] for row in rows)
     agg = [
         ("trials", trials),

@@ -19,23 +19,23 @@ the Psi pair and degrades to a computational-basis measurement on the
 Phi subspace, succeeding half the time on Bell-uniform inputs.
 
 A teleported CNOT runs in two phases.  Phase 1, `cnot_draws`, takes the
-random numbers of a stack of runs, each from its own stream: every stream
-gives one batch of `_ATTEMPT_DRAWS` uniforms, and one scan of the stacked
-(T, 40) table finds each run's first herald hit (its attempt count) and
-the two Bell draws after it.  Only the few runs with no hit, or whose
-Bell draws run past the batch, go on drawing one value at a time from
-their own stream, in the same order.  None of the draws depends on
-amplitudes.
+random numbers of a stack of runs, each from its own stream, a row of a
+`detection.PCG64Stack`: one uniform per attempt until the herald fires,
+then the two Bell draws.  One attempt scan reads windows of every run's
+next uniforms, each twice as wide as the one before, and a run is done
+in the window where its herald fires; the last few runs go on one draw
+at a time in Python ints.  None of the draws depends on amplitudes.
 `teleported_cnot_block` then evolves the stack at once as (T, 64)
 -> (T, 16) -> (T, 4) arrays: product state with two Bell pairs, the
 gate action, two Bell projections (each run's outcome picked from its
 own row of probabilities by `detection.born_pick_rows` with its own
 draw) and the commuted corrections as index and sign tables.
-`teleported_cnot` is the one-run call of the same two phases, on stacks
-of one; a Monte Carlo report makes one call of each phase per block of
-trials.  Draws alone choose outcomes: a Bell outcome has probability
-1/4 here, so a draw of 0.125 + 0.25 k picks label k, and a table of such
-draws runs any chosen branch through `teleported_cnot_block`.
+`teleported_cnot` is the one-run call of the same two phases; a Monte
+Carlo report scans a chunk of trials at once and evolves them in blocks.
+Draws alone choose outcomes: a Bell outcome has probability 1/4 here,
+so a draw of 0.125 + 0.25 k picks label k, and a table of such draws
+runs any chosen branch through `teleported_cnot_block` (a `Draws` of
+chosen values runs one through `teleported_cnot`).
 """
 
 from __future__ import annotations
@@ -44,11 +44,18 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .detection import born_pick_rows, project, rng_from_seed
+from .detection import (
+    PCG64Stack,
+    _uniform,
+    born_pick_rows,
+    project,
+    rng_from_seed,
+    seed_stack,
+)
 from .encoding import LogicalState, axes_first, on_qubits, outer
 from .heralded import conditional_logical_map, klm_cnot
 
@@ -197,43 +204,62 @@ def _cnot_resource() -> tuple[float, np.ndarray]:
     return p, m / math.sqrt(p)
 
 
-# 2.5 times the mean attempt count; (15/16)**40 = 7.6 % of runs need more
-_ATTEMPT_DRAWS = 40
+# the attempt scan's first window, the mean attempt count: (15/16)**16 =
+# 36 % of runs read a second window, twice as wide, and 1.6 % a third; a
+# stack of no more than _ROW_BY_ROW runs goes on one draw at a time.  On a
+# 2-core Xeon VM a 1024-run stack scans in about 1.6 ms from 14 to 18, and
+# 1.8 ms at 24.
+_FIRST_WINDOW = 16
+_ROW_BY_ROW = 4
 
 
-def cnot_draws(rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
-    """Phase 1 of a stack of teleported CNOTs, one per stream in `rngs`:
-    each run's attempt count, then its two uniform Bell draws, as a (T,)
-    int array and a (T, 2) table.
+def _one_run(draws: Iterator[float], p_success: float, attempts: int = 0) -> tuple[int, list]:
+    """One run's attempt count and two Bell draws from its next uniforms:
+    one per attempt until one falls below the herald probability, then
+    one per Bell measurement; `attempts` are counted already."""
+    attempts += 1
+    while next(draws) >= p_success:
+        attempts += 1
+    return attempts, [next(draws), next(draws)]
 
-    The values are those of one `rng.random()` per attempt until the
-    herald fires, then one per Bell draw.  Each stream gives
-    `rng.random(_ATTEMPT_DRAWS)`, and one scan of the stacked table finds
-    every first hit and the Bell draws after it.  Only a run with no hit,
-    or whose Bell draws run past the table, goes on with one call per
-    value, in the same order.  A stream may be left further along than
-    the last value used: pass streams that nothing draws from afterwards,
-    as each Monte Carlo trial's own stream is.
+
+def cnot_draws(source) -> tuple[np.ndarray, np.ndarray]:
+    """Phase 1 of a stack of teleported CNOTs, one per row of a
+    `PCG64Stack`: each run's attempt count, then its two uniform Bell
+    draws, as a (T,) int array and a (T, 2) table.
+
+    The values are those of one `random()` per attempt until the herald
+    fires, then one per Bell draw.  The scan reads a window of draws of
+    every run still going, two past the window's width, and every run
+    with a hit in the window is done; the others step the width on, and
+    the next window is twice as wide.  The last few runs go on one draw
+    at a time on `PCG64Stack.stream`.  A run's stream may be left further
+    along than the last value used: pass streams that nothing draws from
+    afterwards, as each Monte Carlo trial's own stream is.  Any other
+    source of `random()` values (a Generator, `Draws`) is one run, drawn
+    one value at a time.
     """
-    count = len(rngs)
     p_success, _gate_action = _cnot_resource()
-    u = np.array([rng.random(_ATTEMPT_DRAWS) for rng in rngs]).reshape(count, _ATTEMPT_DRAWS)
-    hit = u < p_success
-    attempts = hit.argmax(axis=1) + 1  # 1 on a row with no hit
-    missed = ~hit.any(axis=1)
-    slow = missed | (attempts + 2 > _ATTEMPT_DRAWS)
-    draws = np.empty((count, 2))
-    fast = ~slow
-    draws[fast] = np.take_along_axis(u[fast], attempts[fast, None] + np.arange(2), axis=1)
-    for t in np.flatnonzero(slow).tolist():
-        rng = rngs[t]
-        if missed[t]:
-            tries = _ATTEMPT_DRAWS + 1
-            while rng.random() >= p_success:
-                tries += 1
-            attempts[t] = tries
-        rest = u[t, attempts[t]:].tolist()  # the values after the one that fired
-        draws[t] = [rest.pop(0) if rest else rng.random() for _ in range(2)]
+    if not isinstance(source, PCG64Stack):
+        attempts, bells = _one_run(iter(source.random, None), p_success)
+        return np.array([attempts]), np.array([bells])
+    count = len(source)
+    attempts, draws = np.zeros(count, dtype=int), np.empty((count, 2))
+    rows, width = np.arange(count), _FIRST_WINDOW
+    while len(rows) > _ROW_BY_ROW:
+        u = source.window(width + 2, width)
+        hit = u[:, :width] < p_success
+        first = hit.argmax(axis=1)
+        done = hit.any(axis=1)
+        attempts[rows[done]] += first[done] + 1
+        draws[rows[done]] = np.take_along_axis(u[done], first[done, None] + (1, 2), axis=1)
+        left = ~done
+        rows, source = rows[left], source.take(left)
+        attempts[rows] += width
+        width *= 2
+    for t, row in enumerate(rows.tolist()):
+        uniforms = map(_uniform, source.stream(t))
+        attempts[row], draws[row] = _one_run(uniforms, p_success, int(attempts[row]))
     return attempts, draws
 
 
@@ -304,13 +330,15 @@ def teleported_cnot(
     probability).  After success the inputs are teleported through the
     pre-gated pairs with ideal Bell measurements and the commuted
     correction set is applied.  This is `cnot_draws` and
-    `teleported_cnot_block` on stacks of one; a Generator passed as
-    `seed` may be left past the values used (see `cnot_draws`).  A chosen
-    branch is run by `teleported_cnot_block` with chosen draws.
+    `teleported_cnot_block` on stacks of one.  An int seed draws from
+    default_rng(seed)'s stream, a source of `random()` values (a
+    Generator, `Draws`) one value at a time; a `Draws` of chosen values
+    runs a chosen branch.
     """
     if control.n != 1 or target.n != 1:
         raise ValueError("teleported_cnot takes two single-qubit states")
-    attempts, draws = cnot_draws([rng_from_seed(seed)])
+    source = seed_stack(seed) if isinstance(seed, (int, np.integer)) else rng_from_seed(seed)
+    attempts, draws = cnot_draws(source)
     out, _labels = teleported_cnot_block(control.amps[None], target.amps[None], draws)
     attempts = int(attempts[0])
     return LogicalState._trusted(out[0], 2), ResourceTally(attempts, 2 * attempts)

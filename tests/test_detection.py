@@ -1,5 +1,7 @@
+import importlib.resources
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from loqsim.detection import (
     Draws,
     HeraldGroups,
     HeraldPattern,
+    PCG64Stack,
     _HASH_CHUNK,
     _stream_states,
     born_pick,
@@ -21,8 +24,9 @@ from loqsim.detection import (
     herald,
     measure_all,
     sample,
+    seed_stack,
     seed_uniforms,
-    trial_rngs,
+    trial_stacks,
     trial_uniforms,
 )
 from loqsim.fock import PhotonicState, make_basis_state, superpose, tensor
@@ -322,11 +326,14 @@ def test_derive_rng_is_the_default_rng_stream_of_seed_and_index():
 
 
 def _assert_default_rng_streams(seed, start, stop):
-    got = list(trial_rngs(seed, start, stop))
-    assert len(got) == stop - start
-    for i, rng in zip(range(start, stop), got):
-        want = np.random.default_rng([seed, i]).bit_generator.state
-        assert rng.bit_generator.state == want, (seed, i)
+    stacks = list(trial_stacks(seed, start, stop))
+    assert [len(s) for s in stacks] == [
+        min(_HASH_CHUNK, stop - a) for a in range(start, stop, _HASH_CHUNK)
+    ]
+    rows = ((stack, t) for stack in stacks for t in range(len(stack)))
+    for i, (stack, t) in zip(range(start, stop), rows, strict=True):
+        want = np.random.default_rng([seed, i]).bit_generator.state["state"]
+        assert stack.state(t) == want, (seed, i)
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
@@ -343,7 +350,7 @@ def test_block_seeded_streams_are_the_default_rng_streams(seed):
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_block_hash_is_the_seed_sequence_hash(seed):
-    # the kernel itself, on ranges too short for trial_rngs to hash
+    # the kernel itself, on ranges too short for trial_stacks to hash
     for start, stop in ((0, 1), (2**32 - 2, 2**32 + 3), (2**64 - 1, 2**64 + 1)):
         states = _stream_states(seed, start, stop)
         assert states.dtype == np.uint64 and states.shape == (stop - start, 4)
@@ -354,7 +361,9 @@ def test_block_hash_is_the_seed_sequence_hash(seed):
 
 def test_block_seeding_refuses_negative_entropy():
     with pytest.raises(ValueError):
-        list(trial_rngs(-1, 0, 1))
+        list(trial_stacks(-1, 0, 1))
+    with pytest.raises(ValueError):
+        seed_stack(-1)
     with pytest.raises(ValueError):
         _stream_states(0, -16, 0)
 
@@ -388,6 +397,64 @@ def test_seed_uniforms_are_the_default_rng_draws(seed):
         assert all(type(r) is float for r in got)
         want = np.random.default_rng(seed).random(k).view(np.uint64)
         assert np.array_equal(_as_bits(got, k), want), (seed, k)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stack_steps_as_the_default_rng_streams(seed):
+    # a raw output, a window of 45 that stands 40 on (a single jump on
+    # the short range, blocks of columns on the long one), a window of one
+    # more, and the states left, across 2**32
+    for start, stop in ((0, 1500), (2**32 - 30, 2**32 + 30)):
+        stack = PCG64Stack(_stream_states(seed, start, stop))
+        raw = stack.raw()
+        got = np.column_stack([stack.window(45, 40), stack.window(1, 1)])
+        for t, i in enumerate(range(start, stop)):
+            rng = np.random.default_rng([seed, i])
+            assert int(raw[t]) == rng.bit_generator.random_raw(), (seed, i)
+            want = rng.random(45)
+            assert np.array_equal(got[t, :45].view(np.uint64), want.view(np.uint64)), (seed, i)
+            assert got[t, 45] == want[40]
+            rng = np.random.default_rng([seed, i])
+            rng.bit_generator.advance(42)
+            assert stack.state(t) == rng.bit_generator.state["state"], (seed, i)
+
+
+def test_stack_rows_taken_and_streamed():
+    stack = PCG64Stack(_stream_states(3, 0, 6))
+    sub = stack.take([1, 4])
+    sub.raw()
+    stream = stack.stream(2)
+    next(stream), next(stream)
+    stack.raw()
+    for t, steps in enumerate([1, 1, 3, 1, 1, 1]):
+        rng = np.random.default_rng([3, t])
+        rng.bit_generator.advance(steps)
+        assert stack.state(t) == rng.bit_generator.state["state"], t
+    for t, i in enumerate([1, 4]):
+        rng = np.random.default_rng([3, i])
+        rng.bit_generator.advance(1)
+        assert sub.state(t) == rng.bit_generator.state["state"], i
+
+
+def test_one_seed_stack_is_default_rng_of_the_seed():
+    for seed in (0, 5, 2**32 + 9):
+        stream = seed_stack(seed).stream(0)
+        want = np.random.default_rng(seed).bit_generator.random_raw(30)
+        assert [next(stream) for _ in range(30)] == want.tolist()
+
+
+def test_ziggurat_tables_ship_as_package_data():
+    data = importlib.resources.files("loqsim").joinpath("ziggurat.bin").read_bytes()
+    assert len(data) == 6144
+    fi, wi, ki = (np.frombuffer(data, "<u8", 256, 2048 * j) for j in range(3))
+    fi, wi = fi.view("<f8"), wi.view("<f8")
+    assert int(ki[0]) == 0x000EF33D8025EF6A
+    assert fi[0] == 1.0
+    assert wi[255] * 2**52 == 3.6541528853610088
+    # declared, so that an installed package carries it
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert config["tool"]["setuptools"]["package-data"]["loqsim"] == ["ziggurat.bin"]
 
 
 def test_uniform_tables_come_one_chunk_at_a_time(monkeypatch):

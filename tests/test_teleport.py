@@ -1,3 +1,4 @@
+import importlib.resources
 import itertools
 import math
 from collections import Counter
@@ -5,11 +6,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from loqsim.detection import Draws, derive_rng, measure_all
+from loqsim.detection import (
+    Draws,
+    PCG64Stack,
+    _stream_states,
+    derive_rng,
+    measure_all,
+    standard_normals,
+    trial_stacks,
+)
 from loqsim.encoding import LogicalState, QubitEncoding, decode, encode, marginal_bloch
 from loqsim.interferometer import apply, beamsplitter, compose
 from loqsim.teleport import (
-    _ATTEMPT_DRAWS,
+    _FIRST_WINDOW,
+    _ROW_BY_ROW,
     BellLabel,
     FailureRecord,
     PauliCorrection,
@@ -26,6 +36,7 @@ from loqsim.teleport import (
 
 from conftest import (
     BELL_CORRECTIONS,
+    STREAM_SEEDS,
     bell_draw,
     random_logical_amps,
     reference_cnot_draws,
@@ -389,18 +400,116 @@ def test_batched_cnot_draws_equal_the_one_draw_loop():
     # one scan over a stack of streams against one draw at a time per stream
     found = Counter()
     for seed in (0, 7919, 2**32 + 1):
-        attempts, draws = cnot_draws([derive_rng(seed, i) for i in range(2000)])
+        attempts, draws = cnot_draws(PCG64Stack(_stream_states(seed, 0, 2000)))
         assert attempts.shape == (2000,) and draws.shape == (2000, 2)
         for i in range(2000):
             want = reference_cnot_draws(derive_rng(seed, i))
             assert (int(attempts[i]), tuple(draws[i].tolist())) == want, (seed, i)
-        found.update(min(int(a), _ATTEMPT_DRAWS + 1) for a in attempts)
-    # no hit in the batch, and a hit at index 38 or 39, whose Bell draws
-    # run past the batch, were all exercised
-    assert found[_ATTEMPT_DRAWS + 1] > 100
-    assert found[_ATTEMPT_DRAWS - 1] > 10 and found[_ATTEMPT_DRAWS] > 10
+        found.update(attempts.tolist())
+    # hits in the first window, at its last two columns (whose Bell draws
+    # lie past its width), in the second window (twice as wide) and past it
+    width = _FIRST_WINDOW
+    assert sum(found[a] for a in range(1, width + 1)) > 3000
+    assert found[width - 1] > 50 and found[width] > 50
+    assert sum(found[a] for a in range(width + 1, 3 * width + 1)) > 1000
+    assert sum(n for a, n in found.items() if a > 3 * width) > 100
+
+
+def test_cnot_draws_row_by_row_on_small_stacks():
+    # a stack of no more than _ROW_BY_ROW runs is scanned in Python ints
+    for count in range(1, _ROW_BY_ROW + 2):
+        attempts, draws = cnot_draws(PCG64Stack(_stream_states(11, 0, count)))
+        for i in range(count):
+            want = reference_cnot_draws(derive_rng(11, i))
+            assert (int(attempts[i]), tuple(draws[i].tolist())) == want, (count, i)
 
 
 def test_cnot_draws_of_an_empty_stack():
-    attempts, draws = cnot_draws([])
+    attempts, draws = cnot_draws(PCG64Stack(np.empty((0, 4), np.uint64)))
     assert attempts.shape == (0,) and draws.shape == (0, 2)
+
+
+def test_teleported_cnot_takes_draws():
+    one, zero = LogicalState.from_bits("1"), LogicalState.from_bits("0")
+    steered = [0.01, bell_draw(0), bell_draw(1)]
+    attempts, draws = cnot_draws(Draws(steered))
+    assert attempts.tolist() == [1] and draws.tolist() == [steered[1:]]
+    _out, labels = teleported_cnot_block(one.amps[None], zero.amps[None], draws)
+    assert [list(BellLabel)[k] for k in labels[0]] == [BellLabel.PHI_PLUS, BellLabel.PHI_MINUS]
+    out, tally = teleported_cnot(one, zero, Draws(steered))
+    assert tally.attempts == 1
+    assert out.overlap(LogicalState.from_bits("11")) > 1 - 1e-12
+    with pytest.raises(ValueError, match="no uniform draws left"):
+        teleported_cnot(one, zero, Draws([0.5, 0.01, bell_draw(0)]))
+
+
+def test_an_int_seed_is_the_default_rng_of_the_seed():
+    control = LogicalState(random_logical_amps(np.random.default_rng(9), 1))
+    target = LogicalState(random_logical_amps(np.random.default_rng(10), 1))
+    for seed in (0, 3, 2**40 + 1):
+        out, tally = teleported_cnot(control, target, seed)
+        want, want_tally = teleported_cnot(control, target, np.random.default_rng(seed))
+        assert tally == want_tally
+        assert np.array_equal(out.amps, want.amps)
+
+
+# ---------------------------------------------------------------------------
+# a trial's draws from its stack row against numpy's Generator
+# ---------------------------------------------------------------------------
+
+def _stack_trial_draws(stack):
+    """Each row's draws as `teleport_cnot_report` makes them: the eight
+    input normals (0.0 + x, as normal() adds its loc), then `cnot_draws`."""
+    normals = np.column_stack([0.0 + standard_normals(stack) for _ in range(8)])
+    return normals, *cnot_draws(stack)
+
+
+def _assert_generator_draws(seed, indices, normals, attempts, bells):
+    for t, i in enumerate(indices):
+        rng = np.random.default_rng([seed, i])
+        want = rng.normal(size=(4, 2)).ravel()
+        assert np.array_equal(normals[t].view(np.uint64), want.view(np.uint64)), (seed, i)
+        want_attempts, want_bells = reference_cnot_draws(rng)
+        assert int(attempts[t]) == want_attempts, (seed, i)
+        assert np.array_equal(bells[t].view(np.uint64), np.array(want_bells).view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_draws_are_the_default_rng_draws(seed):
+    # two chunks of stacks, then a range across 2**32
+    for start, stop in ((0, 1100), (2**32 - 40, 2**32 + 40)):
+        stacks = trial_stacks(seed, start, stop)
+        draws = [np.concatenate(x) for x in zip(*map(_stack_trial_draws, stacks))]
+        _assert_generator_draws(seed, range(start, stop), *draws)
+
+
+_ZIG_MANTISSA = (1 << 52) - 1
+
+
+def _first_rejection(seed, i, ki):
+    """How the ziggurat's fast path first rejects an input normal of
+    default_rng([seed, i]), read off numpy's raw PCG64 outputs: "layer"
+    (a wedge test), "tail" (layer 0) or None.  Up to the first rejection,
+    normal j reads raw output j."""
+    raw = np.random.PCG64(np.random.SeedSequence([seed, i])).random_raw(8)
+    layer, rabs = raw & 0xFF, raw >> 9 & _ZIG_MANTISSA
+    rejected = np.flatnonzero(rabs >= ki[layer])
+    if not len(rejected):
+        return None
+    return "tail" if layer[rejected[0]] == 0 else "layer"
+
+
+def test_trial_draws_through_wedges_and_tails():
+    table = importlib.resources.files("loqsim").joinpath("ziggurat.bin").read_bytes()
+    ki = np.frombuffer(table, "<u8", 256, 4096)
+    found = {"layer": [], "tail": []}
+    for seed in STREAM_SEEDS:
+        for i in range(2000):
+            kind = _first_rejection(seed, i, ki)
+            if kind is not None:
+                found[kind].append((seed, i))
+    assert len(found["layer"]) > 500 and len(found["tail"]) > 5
+    for seed, i in found["tail"] + found["layer"][:200]:
+        _assert_generator_draws(
+            seed, [i], *_stack_trial_draws(PCG64Stack(_stream_states(seed, i, i + 1)))
+        )

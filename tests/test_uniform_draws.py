@@ -3,7 +3,8 @@
 Sampling, gate and cluster `trials` runs, and seeded single cluster runs,
 take their uniforms from `pcg64_uniforms` tables instead of a numpy
 Generator per trial.  Their reports are held to reports built from
-Generators, and the runs are checked to leave numpy.random unimported.
+Generators, and the command-line runs, `teleport-cnot` among them, are
+checked to leave numpy.random unimported.
 """
 
 from __future__ import annotations
@@ -89,14 +90,20 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = loqsim.cli.main(argv)
     seen.append([" ".join(argv), code, "numpy.random" in sys.modules])
+if sys.argv[2] == "control":
+    import numpy.random
+    seen.append(["import numpy.random", 0, "numpy.random" in sys.modules])
 print(json.dumps(seen))
 """
 
 
-def _probe(argvs) -> list:
+def _probe(argvs, control=False) -> list:
+    """Whether numpy.random is imported after importing loqsim.cli and
+    after each command line, run in turn in one fresh interpreter; with
+    `control`, an import of numpy.random follows them."""
     env = dict(os.environ, PYTHONPATH=str(Path(loqsim.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", _PROBE, json.dumps(argvs), "control" if control else "none"],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
@@ -117,12 +124,15 @@ def test_runs_leave_numpy_random_unimported(tmp_path):
         ["hom"],
         ["cnot-herald"],
         ["cluster-demo"],
+        ["teleport-cnot", "--trials", "3"],
+        ["teleport-cnot", "--trials", "1100", "--seed", "7"],
     ]
     seen = _probe(argvs)
     assert len(seen) == len(argvs) + 1
     assert [(code, imported) for _argv, code, imported in seen] == [(0, False)] * len(seen), seen
 
 
-def test_teleport_cnot_is_the_run_that_imports_numpy_random():
-    # its inputs are normals from a Generator; this shows the probe sees an import
-    assert _probe([["teleport-cnot", "--trials", "3"]])[-1][1:] == [0, True]
+def test_the_probe_sees_numpy_random_imported():
+    # the positive control: the same probe, after a run, sees an import
+    seen = _probe([["teleport-cnot", "--trials", "3"]], control=True)
+    assert [imported for _argv, _code, imported in seen] == [False, False, True], seen
