@@ -46,8 +46,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .detection import Draws, project, rng_from_seed, seed_uniforms
+from .detection import project
 from .encoding import LogicalState, axes_first, flip_sign, outer
+from .streams import rng_from_seed
 
 NODE_CAP = 20
 
@@ -319,15 +320,11 @@ def run_pattern(
     Before each measurement the node and its not yet bonded edges (in
     declared order, with their missing endpoints) are added; the rest
     follow in declared order after the schedule.  Each measurement takes
-    one uniform draw for its Born-rule pick, so an int seed takes its
-    len(schedule) draws of default_rng(seed) up front; a `Draws` of
-    chosen values steers every outcome (see `detection`).
+    one uniform draw of `rng_from_seed(seed)` for its Born-rule pick; a
+    `Draws` of chosen values steers every outcome (see `detection`).
     """
     _check_node_cap(graph)
-    if isinstance(seed, (int, np.integer)):
-        rng = Draws(seed_uniforms(seed, len(schedule)))
-    else:
-        rng = rng_from_seed(seed)
+    rng = rng_from_seed(seed)
     state = ClusterState.empty(graph)
     frame = PauliFrame()
     outcomes: dict[int, int] = {}

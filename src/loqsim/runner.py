@@ -25,16 +25,7 @@ import numpy as np
 
 from . import __version__
 from .cluster import ClusterGraph, MeasurementInstruction, run_pattern, transcript_json
-from .detection import (
-    DetectorModel,
-    Draws,
-    HeraldGroups,
-    HeraldPattern,
-    born_picker,
-    standard_normals,
-    trial_stacks,
-    trial_uniforms,
-)
+from .detection import DetectorModel, HeraldGroups, HeraldPattern, born_picker
 from .dsl import ElementSpec, ExperimentSpec, SpecError
 from .encoding import LogicalState, QubitEncoding, decode, outer
 from .fock import PRUNE_THRESHOLD, PhotonicState, make_basis_state, running_total
@@ -53,6 +44,7 @@ from .interferometer import (
     qwp,
     swap,
 )
+from .streams import Draws, standard_normals, trial_stacks
 from .teleport import cnot_draws, cnot_matrix, teleported_cnot_block
 
 
@@ -435,21 +427,20 @@ def _run_sweep(spec: ExperimentSpec, seed: int) -> Report:
 _BLOCK = 128
 
 
-def _trial_rows(chunks, block) -> list[list]:
+def _trial_rows(seed: int, trials: int, block) -> list[list]:
     """The one Monte Carlo loop: row [i, *values] per trial, each trial on
     its own stream derive_rng(seed, i).
 
-    `chunks` hands out the draws of consecutive trials from trial 0, one
-    chunk at a time: the (T, k) tables of their first k uniforms
-    (`trial_uniforms`), or the `PCG64Stack` of their streams
-    (`trial_stacks`), for draws other than uniforms.  block(chunk)
+    The streams of consecutive trials from trial 0 come a chunk at a time,
+    as the `PCG64Stack` of their streams (`trial_stacks`).  block(stack)
     returns the rows' values as columns, one list of T values per column
-    after `i`.
+    after `i`; a run that draws only uniforms reads them by
+    `stack.window(k, k)`.
     """
     rows, start = [], 0
-    for chunk in chunks:
-        stop = start + len(chunk)
-        rows += map(list, zip(range(start, stop), *block(chunk), strict=True))
+    for stack in trial_stacks(seed, 0, trials):
+        stop = start + len(stack)
+        rows += map(list, zip(range(start, stop), *block(stack), strict=True))
         start = stop
     return rows
 
@@ -458,11 +449,12 @@ def _run_monte_carlo(spec: ExperimentSpec, seed: int, trials: int) -> Report:
     if spec.cluster is not None:
         graph, schedule = _cluster_parts(spec)
 
-        def pattern_block(u):
+        def pattern_block(stack):
+            u = stack.window(len(schedule), len(schedule))
             results = (run_pattern(graph, schedule, Draws(row)) for row in u.tolist())
             return [["".join(str(o) for _n, _b, o in r.transcript) for r in results]]
 
-        rows = _trial_rows(trial_uniforms(seed, 0, trials, len(schedule)), pattern_block)
+        rows = _trial_rows(seed, trials, pattern_block)
         return Report(
             "monte-carlo", ["trial", "outcomes"], rows, [("trials", trials)], seed
         )
@@ -470,7 +462,7 @@ def _run_monte_carlo(spec: ExperimentSpec, seed: int, trials: int) -> Report:
     if spec.gate is not None:
         p = run_photonic(_gate_for(spec), _evolved(spec), DetectorModel()).probability
         rows = _trial_rows(
-            trial_uniforms(seed, 0, trials, 1), lambda u: [(u[:, 0] < p).astype(int).tolist()]
+            seed, trials, lambda stack: [(stack.window(1, 1)[:, 0] < p).astype(int).tolist()]
         )
         agg = [
             ("herald_probability", p),
@@ -487,9 +479,11 @@ def _run_monte_carlo(spec: ExperimentSpec, seed: int, trials: int) -> Report:
     labels, _amps, matched = zip(*outcomes)
     cells = [np.array(labels, dtype=object)] + ([np.array(matched)] if counts else [])
 
-    rows = _trial_rows(
-        trial_uniforms(seed, 0, trials, 1), lambda u: [c[pick(u[:, 0])].tolist() for c in cells]
-    )
+    def sample_block(stack):
+        picks = pick(stack.window(1, 1)[:, 0])
+        return [c[picks].tolist() for c in cells]
+
+    rows = _trial_rows(seed, trials, sample_block)
     columns = ["trial", "outcome"] + (["matched"] if counts else [])
     agg = [("trials", trials)]
     if counts:
@@ -572,7 +566,7 @@ def teleport_cnot_report(trials: int, seed: int) -> Report:
         ]
         return attempts.tolist(), (2 * attempts).tolist(), np.concatenate(overlap).tolist()
 
-    rows = _trial_rows(trial_stacks(seed, 0, trials), block)
+    rows = _trial_rows(seed, trials, block)
     total_pairs = sum(row[2] for row in rows)
     agg = [
         ("trials", trials),

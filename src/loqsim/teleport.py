@@ -20,7 +20,7 @@ Phi subspace, succeeding half the time on Bell-uniform inputs.
 
 A teleported CNOT runs in two phases.  Phase 1, `cnot_draws`, takes the
 random numbers of a stack of runs, each from its own stream, a row of a
-`detection.PCG64Stack`: one uniform per attempt until the herald fires,
+`streams.PCG64Stack`: one uniform per attempt until the herald fires,
 then the two Bell draws.  One attempt scan reads windows of every run's
 next uniforms, each twice as wide as the one before, and a run is done
 in the window where its herald fires; the last few runs go on one draw
@@ -48,16 +48,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .detection import (
-    PCG64Stack,
-    _uniform,
-    born_pick_rows,
-    project,
-    rng_from_seed,
-    seed_stack,
-)
+from .detection import born_pick_rows, project
 from .encoding import LogicalState, axes_first, on_qubits, outer
 from .heralded import conditional_logical_map, klm_cnot
+from .streams import PCG64Stack, _uniform, rng_from_seed
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -330,15 +324,13 @@ def teleported_cnot(
     probability).  After success the inputs are teleported through the
     pre-gated pairs with ideal Bell measurements and the commuted
     correction set is applied.  This is `cnot_draws` and
-    `teleported_cnot_block` on stacks of one.  An int seed draws from
-    default_rng(seed)'s stream, a source of `random()` values (a
-    Generator, `Draws`) one value at a time; a `Draws` of chosen values
-    runs a chosen branch.
+    `teleported_cnot_block` on stacks of one, drawing one value at a
+    time from `rng_from_seed(seed)`; a `Draws` of chosen values runs a
+    chosen branch.
     """
     if control.n != 1 or target.n != 1:
         raise ValueError("teleported_cnot takes two single-qubit states")
-    source = seed_stack(seed) if isinstance(seed, (int, np.integer)) else rng_from_seed(seed)
-    attempts, draws = cnot_draws(source)
+    attempts, draws = cnot_draws(rng_from_seed(seed))
     out, _labels = teleported_cnot_block(control.amps[None], target.amps[None], draws)
     attempts = int(attempts[0])
     return LogicalState._trusted(out[0], 2), ResourceTally(attempts, 2 * attempts)

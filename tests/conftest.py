@@ -16,6 +16,7 @@ from loqsim.cluster import (
     PatternResult,
     PauliFrame,
     initial_cluster_state,
+    linear_rotation_pattern,
     measure_node,
     run_pattern,
 )
@@ -24,12 +25,12 @@ from loqsim.detection import (
     PROB_TOL,
     DetectionRecord,
     DetectorModel,
-    Draws,
     HeraldPattern,
     measure_all,
-    rng_from_seed,
+    project,
+    sample,
 )
-from loqsim.encoding import LogicalState
+from loqsim.encoding import LogicalState, QubitEncoding, encode
 from loqsim.fock import PhotonicState, make_basis_state
 from loqsim.heralded import run_photonic
 from loqsim.interferometer import (
@@ -42,19 +43,25 @@ from loqsim.interferometer import (
     sector_size,
 )
 from loqsim.runner import Report, _cluster_parts, _gate_for, lower_elements
+from loqsim.streams import Draws
 from loqsim.teleport import (
     _CORRECTION_FOR,
     BellLabel,
     PauliCorrection,
     _cnot_resource,
     bell_measure_ideal,
+    bell_measure_linear_optics,
     bell_pair,
     cnot_matrix,
+    teleport_qubit,
+    teleported_cnot,
 )
 
 
 # seeds of one, two and three 32-bit words
 STREAM_SEEDS = (0, 1, 7919, 2**32 - 1, 2**32, 2**64 + 5)
+# seeds of four and five 32-bit words too: the command line takes any seed >= 0
+WIDE_SEEDS = STREAM_SEEDS + (2**96 + 7, 10**40)
 
 
 def naive_permanent(matrix) -> complex:
@@ -364,9 +371,11 @@ def monolithic_run(graph, schedule, seed):
 
     The full-build run loop that `run_pattern` replaced with just-in-time
     growth: the dense state spans all declared nodes from the start, so a
-    grown run matching it shows that growth order changes nothing.
+    grown run matching it shows that growth order changes nothing.  Its
+    draws come from numpy's own default_rng(seed), not the package's
+    streams.
     """
-    rng = rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     state = initial_cluster_state(graph)
     frame = PauliFrame()
     outcomes: dict[int, int] = {}
@@ -404,6 +413,55 @@ def reference_cnot_draws(rng):
     while rng.random() >= p_success:
         attempts += 1
     return attempts, (rng.random(), rng.random())
+
+
+def _qubits(*amps) -> LogicalState:
+    v = np.array(amps, dtype=complex)
+    return LogicalState(v / np.linalg.norm(v))
+
+
+def seeded_calls() -> dict:
+    """Every library call that takes a seed, by name, as a function of the
+    seed whose result compares with ==.  The inputs are fixed, and each
+    call has more than one possible result.  Building them draws nothing,
+    so a probe can call them with int seeds and watch numpy.random."""
+    one, other = _qubits(0.6, 0.8j), _qubits(0.3 - 0.1j, 0.9)
+    three = _qubits(0.1, 0.2 + 0.3j, 0.5, -0.4, 0.3j, 0.2, -0.1, 0.6)
+    photonic = encode(_qubits(0.5, 0.4j, 0.6, -0.5), QubitEncoding.dual_rail(2))
+    graph, schedule = linear_rotation_pattern(0.3, -1.1, 0.7)
+
+    def project_three(seed):
+        index, rest, p = project(three.amps, 3, (2, 0), np.eye(4, dtype=complex), seed)
+        return index, rest.tolist(), p
+
+    def teleport_one(seed):
+        out, correction = teleport_qubit(one, seed)
+        return out.amps.tolist(), correction
+
+    def bell(measure):
+        def call(seed):
+            label, rest = measure(three, (0, 1), seed)
+            return label, rest.amps.tolist()
+        return call
+
+    def pattern(seed):
+        result = run_pattern(graph, schedule, seed)
+        return result.output.amps.tolist(), result.transcript, result.frame
+
+    def cnot(seed):
+        out, tally = teleported_cnot(one, other, seed)
+        return out.amps.tolist(), tally
+
+    return {
+        "sample": lambda seed: sample([0.1, 0.0, 0.2, 0.3, 0.4], seed),
+        "measure_all": lambda seed: measure_all(photonic, seed),
+        "project": project_three,
+        "teleport_qubit": teleport_one,
+        "bell_measure_ideal": bell(bell_measure_ideal),
+        "bell_measure_linear_optics": bell(bell_measure_linear_optics),
+        "run_pattern": pattern,
+        "teleported_cnot": cnot,
+    }
 
 
 def steering_draws(bits) -> Draws:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from loqsim.cluster import linear_rotation_pattern, run_pattern
-from loqsim.detection import Draws, HeraldPattern, herald
+from loqsim.detection import HeraldPattern, herald
 from loqsim.encoding import LogicalState, decompose_su2, reconstruct_waveplates
 from loqsim.fock import PhotonicState, make_basis_state
 from loqsim.heralded import klm_cnot, ns_gate, run_heralded, run_photonic
@@ -26,6 +26,7 @@ from loqsim.interferometer import (
     phase,
 )
 from loqsim.runner import teleport_cnot_report
+from loqsim.streams import Draws
 from loqsim.teleport import BellLabel, cnot_matrix, teleport_qubit
 
 from conftest import (

@@ -17,8 +17,8 @@ from loqsim.cluster import (
     measure_node,
     run_pattern,
 )
-from loqsim.detection import derive_rng
 from loqsim.encoding import LogicalState
+from loqsim.streams import derive_rng
 from loqsim.teleport import cnot_matrix
 
 from conftest import (

@@ -8,26 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loqsim import detection
+from loqsim import streams
 from loqsim.detection import (
     DetectorModel,
-    Draws,
     HeraldGroups,
     HeraldPattern,
-    PCG64Stack,
-    _HASH_CHUNK,
-    _stream_states,
     born_pick,
     born_pick_rows,
     born_picker,
-    derive_rng,
     herald,
     measure_all,
     sample,
-    seed_stack,
-    seed_uniforms,
-    trial_stacks,
-    trial_uniforms,
 )
 from loqsim.fock import PhotonicState, make_basis_state, superpose, tensor
 from loqsim.interferometer import (
@@ -39,7 +30,17 @@ from loqsim.interferometer import (
     evolve_table,
 )
 
-from conftest import STREAM_SEEDS, random_unitary, reference_herald
+from loqsim.streams import (
+    _HASH_CHUNK,
+    Draws,
+    PCG64Stack,
+    _stream_states,
+    derive_rng,
+    seed_stack,
+    trial_stacks,
+)
+
+from conftest import STREAM_SEEDS, WIDE_SEEDS, random_unitary, reference_herald
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -363,18 +364,14 @@ def test_block_seeding_refuses_negative_entropy():
     with pytest.raises(ValueError):
         list(trial_stacks(-1, 0, 1))
     with pytest.raises(ValueError):
+        list(trial_stacks(0, -5, 0))
+    with pytest.raises(ValueError):
         seed_stack(-1)
     with pytest.raises(ValueError):
         _stream_states(0, -16, 0)
 
 
-# seeds of four and five 32-bit words too: the command line takes any seed >= 0
-WIDE_SEEDS = STREAM_SEEDS + (2**96 + 7, 10**40)
 DRAW_COUNTS = (0, 1, 2, 19, 40)
-
-
-def _as_bits(values, shape) -> np.ndarray:
-    return np.array(values, dtype=np.float64).reshape(shape).view(np.uint64)
 
 
 @pytest.mark.parametrize("seed", WIDE_SEEDS)
@@ -386,17 +383,9 @@ def test_uniform_tables_are_the_default_rng_draws(seed):
             [np.random.default_rng([seed, i]).random(max(DRAW_COUNTS)) for i in range(start, stop)]
         )
         for k in DRAW_COUNTS:
-            got = np.concatenate(list(trial_uniforms(seed, start, stop, k))).view(np.uint64)
+            tables = [stack.window(k, k) for stack in trial_stacks(seed, start, stop)]
+            got = np.concatenate(tables).view(np.uint64)
             assert np.array_equal(got, want[:, :k].view(np.uint64)), (seed, start, k)
-
-
-@pytest.mark.parametrize("seed", WIDE_SEEDS)
-def test_seed_uniforms_are_the_default_rng_draws(seed):
-    for k in DRAW_COUNTS:
-        got = seed_uniforms(seed, k)
-        assert all(type(r) is float for r in got)
-        want = np.random.default_rng(seed).random(k).view(np.uint64)
-        assert np.array_equal(_as_bits(got, k), want), (seed, k)
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
@@ -459,29 +448,22 @@ def test_ziggurat_tables_ship_as_package_data():
 
 def test_uniform_tables_come_one_chunk_at_a_time(monkeypatch):
     shapes = []
-    kernel = detection.pcg64_uniforms
 
-    def spy(states, k):
-        shapes.append(states.shape[0])
-        return kernel(states, k)
+    class Spy(PCG64Stack):
+        __slots__ = ()
 
-    monkeypatch.setattr(detection, "pcg64_uniforms", spy)
+        def __init__(self, states):
+            shapes.append(states.shape[0])
+            super().__init__(states)
+
+    monkeypatch.setattr(streams, "PCG64Stack", Spy)
     trials = 200_000
-    tables = trial_uniforms(1, 0, trials, 1)
+    tables = (stack.window(1, 1) for stack in trial_stacks(1, 0, trials))
     assert next(tables).shape == (_HASH_CHUNK, 1)
     assert shapes == [_HASH_CHUNK]
     assert sum(len(table) for table in tables) == trials - _HASH_CHUNK
     assert len(shapes) == -(-trials // _HASH_CHUNK)
     assert max(shapes) == _HASH_CHUNK and sum(shapes) == trials
-
-
-def test_uniform_draws_refuse_negative_entropy():
-    with pytest.raises(ValueError):
-        list(trial_uniforms(-1, 0, 5, 1))
-    with pytest.raises(ValueError):
-        list(trial_uniforms(0, -5, 0, 1))
-    with pytest.raises(ValueError):
-        seed_uniforms(-1, 1)
 
 
 def test_draws_hand_out_their_values_in_order_then_refuse():

@@ -6,17 +6,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from loqsim.detection import (
+from loqsim.detection import measure_all
+from loqsim.encoding import LogicalState, QubitEncoding, decode, encode, marginal_bloch
+from loqsim.interferometer import apply, beamsplitter, compose
+from loqsim.streams import (
     Draws,
     PCG64Stack,
     _stream_states,
     derive_rng,
-    measure_all,
     standard_normals,
     trial_stacks,
 )
-from loqsim.encoding import LogicalState, QubitEncoding, decode, encode, marginal_bloch
-from loqsim.interferometer import apply, beamsplitter, compose
 from loqsim.teleport import (
     _FIRST_WINDOW,
     _ROW_BY_ROW,

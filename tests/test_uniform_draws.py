@@ -1,10 +1,12 @@
-"""Monte Carlo and cluster reports drawn from block-made uniform tables.
+"""Monte Carlo and cluster reports, and int-seeded calls, drawn from the
+package's own streams.
 
-Sampling, gate and cluster `trials` runs, and seeded single cluster runs,
-take their uniforms from `pcg64_uniforms` tables instead of a numpy
-Generator per trial.  Their reports are held to reports built from
-Generators, and the command-line runs, `teleport-cnot` among them, are
-checked to leave numpy.random unimported.
+Sampling, gate and cluster `trials` runs take their uniforms from
+`PCG64Stack.window` tables instead of a numpy Generator per trial, and
+every int seed goes through `streams.rng_from_seed`.  Their reports and
+results are held to those built from Generators, and the command-line
+runs, `teleport-cnot` among them, and the library calls with int seeds
+are checked to leave numpy.random unimported.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ import pytest
 import loqsim
 from loqsim import runner
 from loqsim.cluster import run_pattern
-from loqsim.detection import _HASH_CHUNK
 from loqsim.dsl import parse
 from loqsim.runner import cluster_demo_report, run
+from loqsim.streams import _HASH_CHUNK, rng_from_seed
 
-from conftest import STREAM_SEEDS, serial_trials_report
+from conftest import STREAM_SEEDS, WIDE_SEEDS, seeded_calls, serial_trials_report
 
 DATA = Path(__file__).parent / "data"
 
@@ -82,6 +84,26 @@ def test_single_cluster_reports_equal_generator_runs(seed, monkeypatch):
         _assert_same_bytes(g, w)
 
 
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+def test_int_seeds_draw_the_default_rng_stream(seed):
+    rng = rng_from_seed(seed)
+    got = [rng.random() for _ in range(40)]
+    assert all(type(r) is float for r in got)
+    want = np.random.default_rng(seed).random(40)
+    assert np.array_equal(np.array(got).view(np.uint64), want.view(np.uint64))
+    # a float seed and a negative one are refused as default_rng refuses
+    # them, never truncated
+    refused = ((2.5, TypeError), (-1, ValueError))
+    for bad, error in refused:
+        with pytest.raises(error):
+            np.random.default_rng(bad)
+    for name, call in seeded_calls().items():
+        assert call(seed) == call(np.random.default_rng(seed)), name
+        for bad, error in refused:
+            with pytest.raises(error):
+                call(bad)
+
+
 _PROBE = """
 import contextlib, io, json, sys
 import loqsim.cli
@@ -90,21 +112,29 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = loqsim.cli.main(argv)
     seen.append([" ".join(argv), code, "numpy.random" in sys.modules])
-if sys.argv[2] == "control":
+if sys.argv[2] != "[]":
+    from conftest import seeded_calls
+    calls = seeded_calls()
+    for name in json.loads(sys.argv[2]):
+        calls[name](5)
+        seen.append([name + "(5)", 0, "numpy.random" in sys.modules])
+if sys.argv[3] == "control":
     import numpy.random
     seen.append(["import numpy.random", 0, "numpy.random" in sys.modules])
 print(json.dumps(seen))
 """
 
 
-def _probe(argvs, control=False) -> list:
-    """Whether numpy.random is imported after importing loqsim.cli and
-    after each command line, run in turn in one fresh interpreter; with
-    `control`, an import of numpy.random follows them."""
-    env = dict(os.environ, PYTHONPATH=str(Path(loqsim.__file__).parents[1]))
+def _probe(argvs, calls=(), control=False) -> list:
+    """Whether numpy.random is imported after importing loqsim.cli, after
+    each command line and after each named `seeded_calls` call with the
+    int seed 5, run in turn in one fresh interpreter; with `control`, an
+    import of numpy.random follows them."""
+    path = [str(Path(loqsim.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    argv = [json.dumps(argvs), json.dumps(list(calls)), "control" if control else "none"]
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argvs), "control" if control else "none"],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, check=True
     )
     return json.loads(done.stdout)
 
@@ -130,6 +160,13 @@ def test_runs_leave_numpy_random_unimported(tmp_path):
     seen = _probe(argvs)
     assert len(seen) == len(argvs) + 1
     assert [(code, imported) for _argv, code, imported in seen] == [(0, False)] * len(seen), seen
+
+
+def test_int_seeded_calls_leave_numpy_random_unimported():
+    calls = list(seeded_calls())
+    seen = _probe([], calls)
+    assert [name for name, _code, _imported in seen[1:]] == [f"{c}(5)" for c in calls]
+    assert [imported for _name, _code, imported in seen] == [False] * len(seen), seen
 
 
 def test_the_probe_sees_numpy_random_imported():
