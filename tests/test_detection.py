@@ -371,6 +371,16 @@ def test_block_seeding_refuses_negative_entropy():
         _stream_states(0, -16, 0)
 
 
+def test_uniform_draws_refuse_negative_entropy():
+    # the uniform reads of a block and of an int seed, not just the seeding
+    with pytest.raises(ValueError):
+        [stack.window(5, 5) for stack in trial_stacks(-1, 0, 5)]
+    with pytest.raises(ValueError):
+        [stack.window(1, 1) for stack in trial_stacks(0, -5, 0)]
+    with pytest.raises(ValueError):
+        streams.rng_from_seed(-1).random()
+
+
 DRAW_COUNTS = (0, 1, 2, 19, 40)
 
 
